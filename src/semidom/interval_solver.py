@@ -1,4 +1,4 @@
-"""Minimum semitotal domination on interval graphs in O(n^2).
+"""Minimum semitotal domination on interval graphs in O(n log n).
 
 The solver reduces the problem to a shortest-path question on an acyclic
 overlap digraph. Intervals that are properly contained in another interval
@@ -18,12 +18,18 @@ exactly when its indices form a source-to-sink path that never takes two
 unmarked A2 arcs in a row. That sequencing constraint is compiled away by
 splitting every vertex into an in-node and an out-node, after which a plain
 shortest path on the split digraph does the job.
+
+solve_interval never builds the digraphs. After an O(n log n) sort and
+per-vertex arc thresholds, it relaxes the split digraph over sliding windows
+in linear time. build_overlap_digraph, build_split_digraph and
+shortest_constrained_path stay as the quadratic reference implementation.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
@@ -237,78 +243,75 @@ def shortest_constrained_path(dprime: SplitDigraph) -> tuple[int, ...]:
             picked.add(node[1])
         node = pred[node]
     result = tuple(sorted(picked))
-    assert len(result) == dist[SINK], "path length must equal the set size"
+    if len(result) != dist[SINK]:
+        raise RuntimeError("path length must equal the set size (internal error)")
     return result
 
 
-# components with more digraph vertices than this skip the materialized
-# digraph and run the same relaxation on the threshold arrays directly
-_FUSED_THRESHOLD = 64
+def _window_constrained_path(avals, verts, fs, gs) -> tuple[int, ...]:
+    """The path shortest_constrained_path finds, by window minima in O(k).
 
-
-def _fused_constrained_path(avals, bvals, verts, fs, gs) -> tuple[int, ...]:
-    """Shortest constrained path computed without materializing the digraphs.
-
-    Mirrors build_split_digraph + shortest_constrained_path exactly,
-    including the smallest-predecessor tie-break, but tests arcs on the fly
-    from the threshold arrays, keeping dense components at O(n^2) time and
-    O(n) memory.
+    Over the inner vertices in a order, fs and gs are nondecreasing with
+    fs > b and gs >= b. The in-node of t is reached (A1 and marked A2 arcs)
+    from the out-nodes of the s < t with min(fs, gs)[s] > a_t; its out-node
+    (unmarked A2 arcs) from the in-nodes of the s with gs[s] <= a_t < fs[s].
+    Both windows only move right as t grows, so a monotone deque per window
+    holds its minimum, keeping the older node on ties as the reference does.
     """
     inner = verts[1:-1]
-    k = len(inner)
-    inf = 1 << 30
-    din = [inf] * k
-    dout = [inf] * k
-    pin = [-9] * k   # index s: din via (out, inner[s])
-    pout = [-9] * k  # -3: source arc; -1: own in-node; s >= 0: unmarked from (in, inner[s])
-    a_sink = avals[-1]
-    f0 = fs[0]
-    for t in range(k):
-        j = inner[t]
-        aj = avals[j]
-        best_out, best_pout = (0, -3) if f0 > aj else (inf, -9)
-        best_in, best_pin = inf, -9
-        for s in range(t):
-            i = inner[s]
-            bi = bvals[i]
-            if aj < bi:  # overlapping: A1
-                cand = dout[s] + 1
-                if cand < best_in:
-                    best_in, best_pin = cand, s
-            elif fs[i] > aj:  # gap-free disjoint pair: A2
-                if gs[i] > aj:  # marked
-                    cand = dout[s] + 1
-                    if cand < best_in:
-                        best_in, best_pin = cand, s
-                else:
-                    cand = din[s] + 1
-                    if cand < best_out:
-                        best_out, best_pout = cand, s
-        din[t], pin[t] = best_in, best_pin
-        if best_in < best_out:  # the zero-length in->out arc, evaluated last
-            best_out, best_pout = best_in, -1
-        dout[t], pout[t] = best_out, best_pout
-    dsink, psink = inf, -9
-    for t in range(k):
-        if fs[inner[t]] > a_sink and din[t] + 1 < dsink:
-            dsink, psink = din[t] + 1, t
-    if psink < 0:
-        raise RuntimeError("no source-to-sink path (internal error)")
-    picked: set[int] = set()
-    state, t = "in", psink
-    while True:
-        picked.add(inner[t])
-        if state == "in":
-            state, t = "out", pin[t]
+    a = [avals[i] for i in inner]
+    f = [fs[i] for i in inner]
+    g = [gs[i] for i in inner]
+    # split-digraph node 2t is the in-node of inner[t], 2t+1 its out-node
+    inf = float("inf")
+    dist = [inf] * (2 * len(inner))
+    pred = [-1] * len(dist)  # -1: the source
+    in_q: deque[int] = deque()   # out-nodes feeding in-nodes
+    out_q: deque[int] = deque()  # in-nodes feeding out-nodes by unmarked arcs
+    in_lo = out_lo = out_hi = 0
+
+    def push(q, node):
+        while q and dist[q[-1]] > dist[node]:
+            q.pop()
+        q.append(node)
+
+    def relax(node, q, lo):
+        while q and q[0] >> 1 < lo:
+            q.popleft()
+        if q and dist[q[0]] + 1 < dist[node]:
+            dist[node], pred[node] = dist[q[0]] + 1, q[0]
+
+    for t, at in enumerate(a):
+        if t:
+            push(in_q, 2 * t - 1)
+        # each scan stops by t, since f[t] > b_t > a_t and g[t] >= b_t
+        while min(f[in_lo], g[in_lo]) <= at:
+            in_lo += 1
+        while g[out_hi] <= at:
+            push(out_q, 2 * out_hi)
+            out_hi += 1
+        while f[out_lo] <= at:
+            out_lo += 1
+        relax(2 * t, in_q, in_lo)
+        if fs[verts[0]] > at:
+            dist[2 * t + 1] = 0
         else:
-            p = pout[t]
-            if p == -3:
-                break
-            state = "in"
-            if p >= 0:
-                t = p
+            relax(2 * t + 1, out_q, out_lo)
+            if dist[2 * t] < dist[2 * t + 1]:  # the zero-length in->out arc
+                dist[2 * t + 1], pred[2 * t + 1] = dist[2 * t], 2 * t
+    # in-nodes with an arc to the sink; min keeps the smallest on ties
+    ends = [2 * t for t in range(len(inner)) if f[t] > avals[verts[-1]]]
+    node = min(ends, key=dist.__getitem__, default=None)
+    if node is None or dist[node] == inf:
+        raise RuntimeError("no source-to-sink path (internal error)")
+    size = dist[node] + 1
+    picked: set[int] = set()
+    while node >= 0:
+        picked.add(inner[node >> 1])
+        node = pred[node]
     result = tuple(sorted(picked))
-    assert len(result) == dsink, "path length must equal the set size"
+    if len(result) != size:
+        raise RuntimeError("path length must equal the set size (internal error)")
     return result
 
 
@@ -347,12 +350,7 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
             other = min(k for k in range(sub.n) if k != container)
             local = (container, other)
         else:
-            _, avals, bvals, verts, fs, gs = _digraph_arrays(sub)
-            if len(verts) - 2 > _FUSED_THRESHOLD:
-                path = _fused_constrained_path(avals, bvals, verts, fs, gs)
-            else:
-                d = build_overlap_digraph(sub)
-                path = shortest_constrained_path(build_split_digraph(d))
-            local = tuple(k - 1 for k in path)
+            _, avals, _, verts, fs, gs = _digraph_arrays(sub)
+            local = tuple(k - 1 for k in _window_constrained_path(avals, verts, fs, gs))
         chosen.extend(inv[start + k] for k in local)
     return tuple(sorted(chosen))

@@ -115,6 +115,17 @@ def test_criterion_3_interval_complexity():
            f"ratios {r1:.2f}, {r2:.2f} (<= 5)")
 
 
+def test_criterion_3_chain_budget():
+    # every chain interval is a digraph vertex, so this times the DP itself
+    from semidom.intervals import IntervalModel
+    n = 100_000
+    chain = IntervalModel(tuple((3 * i, 3 * i + 4 + i % 3) for i in range(n)))
+    t0 = time.perf_counter()
+    s = solve_interval(chain)
+    elapsed = time.perf_counter() - t0
+    report(3, elapsed < 5.0, f"chain n={n} in {elapsed:.2f}s (< 5s), |S|={len(s)}")
+
+
 def test_criterion_4_gp4_identities():
     rng = SplitMix64(404)
     for trial in range(50):

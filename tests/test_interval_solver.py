@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semidom.domination import DominationKind, exact_min, verify
 from semidom.errors import InfeasibleError
@@ -7,6 +10,7 @@ from semidom.graph import is_connected
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
                                intersection_graph)
 from semidom.interval_solver import (SINK, SOURCE, ArcClass, OverlapDigraph,
+                                     _digraph_arrays, _window_constrained_path,
                                      build_overlap_digraph, build_split_digraph,
                                      contains_all, shortest_constrained_path,
                                      solve_interval)
@@ -20,6 +24,33 @@ P5_MODEL = IntervalModel(((1, 4), (3, 8), (5, 12), (9, 14), (13, 16)))
 
 def canon(pairs):
     return canonicalize_intervals(IntervalModel(tuple(pairs)))
+
+
+def bounded_length_pairs(n, rng):
+    # start step 1-2 and length 2-7: connected, with long runs of overlaps
+    pairs, a = [], 0
+    for _ in range(n):
+        a += 1 + rng.randrange(2)
+        pairs.append((a, a + 2 + rng.randrange(6)))
+    return pairs
+
+
+@st.composite
+def small_models(draw):
+    """Up to three short runs of intervals on an integer grid, shuffled.
+
+    Small steps and lengths make touching endpoints, shared left endpoints
+    and nested intervals common; runs lie far apart, so a model can have
+    several components. Endpoints are ints, Fractions or floats.
+    """
+    scale = draw(st.sampled_from([int, lambda x: Fraction(x, 3), lambda x: x / 4]))
+    pairs = []
+    for group in range(draw(st.integers(1, 3))):
+        a = 40 * group
+        for _ in range(draw(st.integers(1, 10))):
+            a += draw(st.integers(0, 2))
+            pairs.append((scale(a), scale(a + draw(st.integers(1, 7)))))
+    return IntervalModel(tuple(draw(st.permutations(pairs))))
 
 
 class TestContainsAll:
@@ -242,23 +273,36 @@ class TestSolveInterval:
         m = gen_interval_model(40, 9)
         assert solve_interval(m) == solve_interval(m)
 
-    def test_fused_route_matches_digraph_route(self):
-        # large components skip the materialized digraphs; same answer required
-        from semidom.interval_solver import _digraph_arrays, _fused_constrained_path
-
+    def test_window_route_matches_reference(self):
+        # solve_interval's only path routine against the materialized digraphs
         rng = SplitMix64(11)
         checked = 0
-        while checked < 40:
-            n = 40 + rng.randrange(140)
-            if rng.randrange(2):
+        while checked < 150:
+            n = 2 + rng.randrange(100)
+            family = rng.randrange(3)
+            if family == 0:
                 m = gen_interval_model(n, rng.next_u64())
-            else:
+            elif family == 1:
                 m = canon([(3 * i, 3 * i + n + (i % 7)) for i in range(n)])
+            else:
+                m = canon(bounded_length_pairs(n, rng))
             try:
-                _, avals, bvals, verts, fs, gs = _digraph_arrays(m)
-            except ValueError:
+                _, avals, _, verts, fs, gs = _digraph_arrays(m)
+            except ValueError:  # container or disconnected model
                 continue
-            fused = _fused_constrained_path(avals, bvals, verts, fs, gs)
             d = build_overlap_digraph(m)
-            assert fused == shortest_constrained_path(build_split_digraph(d))
+            assert (_window_constrained_path(avals, verts, fs, gs)
+                    == shortest_constrained_path(build_split_digraph(d)))
             checked += 1
+
+    @given(small_models())
+    @settings(max_examples=400, deadline=None)
+    def test_hypothesis_models_match_exact_oracle(self, m):
+        g = intersection_graph(m)
+        try:
+            s = solve_interval(m)
+        except InfeasibleError:
+            assert any(g.degree(v) == 0 for v in range(m.n))
+            return
+        assert verify(g, s, SEMI).valid
+        assert len(s) == len(exact_min(g, SEMI))
