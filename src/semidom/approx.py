@@ -138,8 +138,4 @@ def algo_dom_set(g: Graph, k: int = 2) -> tuple[int, ...]:
             if m == full:
                 return subset
     go = reductions.build_gadget(g, reductions.GadgetKind.LN)
-    dst = approx_semitotal(go.h)
-    n = g.n
-    out = {v for v in dst if v < n}
-    out.update(v - n for v in dst if n <= v < 2 * n)
-    return tuple(sorted(out))
+    return reductions.extract_solution(go, approx_semitotal(go.h))

@@ -320,8 +320,9 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
 
     Returns original interval ids. Components are solved independently; a
     singleton component has no distance-2 partner and raises
-    InfeasibleError. When one interval properly contains all others, that
-    interval plus the smallest other id is already optimal.
+    InfeasibleError. When one interval properly contains all others of its
+    component, that interval plus the component's smallest other id is
+    already optimal.
     """
     if m.n == 0:
         raise ValueError("empty interval model")
@@ -333,11 +334,6 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
     if any(stop - start == 1 for start, stop in slices):
         raise InfeasibleError("singleton component has no distance-2 partner")
 
-    whole = contains_all(canon)
-    if whole is not None:
-        other = min(inv[k] for k in range(canon.n) if k != whole)
-        return tuple(sorted((inv[whole], other)))
-
     chosen: list[int] = []
     for start, stop in slices:
         sub = IntervalModel(
@@ -347,10 +343,11 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
         )
         container = contains_all(sub)
         if container is not None:
-            other = min(k for k in range(sub.n) if k != container)
-            local = (container, other)
+            container += start
+            chosen.append(inv[container])
+            chosen.append(min(inv[k] for k in range(start, stop) if k != container))
         else:
             _, avals, _, verts, fs, gs = _digraph_arrays(sub)
-            local = tuple(k - 1 for k in _window_constrained_path(avals, verts, fs, gs))
-        chosen.extend(inv[start + k] for k in local)
+            chosen.extend(inv[start + k - 1]
+                          for k in _window_constrained_path(avals, verts, fs, gs))
     return tuple(sorted(chosen))

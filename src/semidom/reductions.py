@@ -72,6 +72,72 @@ class ReductionReport:
     details: dict[str, int]
 
 
+@dataclass(frozen=True)
+class _Source:
+    """The source problem of a reduction."""
+
+    key: str  # check_reduction details key of its optimum
+    name: str  # for extend_solution's error message
+    measure: DominationKind | None = None  # None: vertex cover
+
+    def solved_by(self, g: Graph, members: set[int]) -> bool:
+        if self.measure is None:
+            return all(a in members or b in members for a, b in g.edges)
+        return verify(g, members, self.measure).valid
+
+    def optimum(self, g: Graph) -> int:
+        if self.measure is None:
+            return len(min_vertex_cover(g))
+        return len(exact_min(g, self.measure))
+
+
+_TOTAL = _Source("total_g", "a total dominating set", DominationKind.TOTAL)
+_DOMINATING = _Source("gamma_g", "a dominating set", DominationKind.DOMINATING)
+_COVER = _Source("tau_g", "a vertex cover")
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where one kind's gadget vertices sit, how they are wired and lifted.
+
+    After the source vertices come one block per tag in `blocks` (one
+    vertex per source vertex, origin-ascending), then one vertex per tag in
+    `singles`. An edge "ab" joins a_i and b_i for every source vertex i that
+    has both; "v" is i itself and a single tag names its one vertex, so an
+    edge between two singles is one edge.
+    """
+
+    blocks: tuple[str, ...]
+    singles: tuple[str, ...]
+    edges: tuple[str, ...]
+    lift: tuple[str, ...]  # tags extend_solution adds; their count is the offset
+    project: dict[str, str]  # tag -> rule extract_solution maps it back by
+    source: _Source
+
+
+_LAYOUT = {
+    # lifted by x_i and y_i: they dominate the whole pendant path totally
+    # (w_i would leave y_i without a neighbor in the set)
+    GadgetKind.GP4: _Layout(("w", "x", "y", "z"), (), ("vw", "wx", "xy", "yz"),
+                            ("x", "y"), {"w": "neighbor"}, _TOTAL),
+    GadgetKind.BIPARTITE: _Layout(("x", "y", "z", "u", "w"), (),
+                                  ("xy", "yz", "zu", "uw", "vz"),
+                                  ("u", "y"), {"z": "origin"}, _DOMINATING),
+    # x over the clique, y over the independent set; the enlarged clique is
+    # wired in build_gadget
+    GadgetKind.SPLIT: _Layout(("x", "y"), ("w", "z", "r", "s", "t"),
+                              ("vx", "xw", "vy", "yt", "rs", "st", "wz"),
+                              ("w", "s"), {"x": "origin", "y": "origin"},
+                              _DOMINATING),
+    GadgetKind.LN: _Layout(("x",), ("y", "z"), ("vx", "xy", "yz"),
+                           ("y",), {"x": "origin"}, _DOMINATING),
+    # one "edge" vertex per source edge follows the blocks
+    GadgetKind.APX: _Layout(("u", "x", "y", "z", "w"), (),
+                            ("vu", "uw", "ux", "xy", "yz", "zu"),
+                            ("u", "y"), {"edge": "endpoint"}, _COVER),
+}
+
+
 def _require_connected(g: Graph) -> None:
     if g.n < 1:
         raise ValueError("source graph is empty")
@@ -85,109 +151,41 @@ def build_gadget(g: Graph, kind: GadgetKind,
     _require_connected(g)
     n = g.n
     edges = sorted(g.edges)
-    roles: dict[int, Role] = {v: ("original", v) for v in range(n)}
-
-    if kind is GadgetKind.GP4:
-        w, x, y, z = (lambda i: n + i), (lambda i: 2 * n + i), (lambda i: 3 * n + i), (lambda i: 4 * n + i)
-        he = list(edges)
-        for i in range(n):
-            roles[w(i)] = ("w", i)
-            roles[x(i)] = ("x", i)
-            roles[y(i)] = ("y", i)
-            roles[z(i)] = ("z", i)
-            he += [(i, w(i)), (w(i), x(i)), (x(i), y(i)), (y(i), z(i))]
-        h = Graph(5 * n, he)
-
-    elif kind is GadgetKind.BIPARTITE:
-        if n < 2:
-            raise ValueError("bipartite gadget needs a non-trivial source (n >= 2)")
-        x, y, z = (lambda i: n + i), (lambda i: 2 * n + i), (lambda i: 3 * n + i)
-        u, w = (lambda i: 4 * n + i), (lambda i: 5 * n + i)
-        he = list(edges)
-        for i in range(n):
-            roles[x(i)] = ("x", i)
-            roles[y(i)] = ("y", i)
-            roles[z(i)] = ("z", i)
-            roles[u(i)] = ("u", i)
-            roles[w(i)] = ("w", i)
-            he += [(x(i), y(i)), (y(i), z(i)), (z(i), u(i)), (u(i), w(i)), (i, z(i))]
-        h = Graph(6 * n, he)
-
-    elif kind is GadgetKind.SPLIT:
+    layout = _LAYOUT.get(kind)
+    if layout is None:
+        raise ValueError(f"unknown gadget kind: {kind}")
+    origins = dict.fromkeys(layout.blocks, range(n))
+    if kind is GadgetKind.BIPARTITE and n < 2:
+        raise ValueError("bipartite gadget needs a non-trivial source (n >= 2)")
+    if kind is GadgetKind.SPLIT:
         if partition is None:
             raise ValueError("split gadget needs a split partition")
         partition.validate(g)
-        clique = sorted(partition.clique)
-        indep = sorted(partition.independent)
-        p, q = len(clique), len(indep)
-        xs = {clique[i]: n + i for i in range(p)}
-        ys = {indep[j]: n + p + j for j in range(q)}
-        w, z, r, s, t = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3, 2 * n + 4
-        for v, xid in xs.items():
-            roles[xid] = ("x", v)
-        for v, yid in ys.items():
-            roles[yid] = ("y", v)
-        roles[w] = ("w", None)
-        roles[z] = ("z", None)
-        roles[r] = ("r", None)
-        roles[s] = ("s", None)
-        roles[t] = ("t", None)
-        he = set(edges)
-        clique_h = clique + sorted(ys.values()) + [s, w]
-        for a, b in itertools.combinations(sorted(clique_h), 2):
-            he.add((a, b))
-        for v, xid in xs.items():
-            he.add((v, xid))
-            he.add((xid, w))
-        for v, yid in ys.items():
-            he.add((v, yid))
-            he.add((yid, t))
-        he.update([(r, s), (s, t), (w, z)])
-        h = Graph(2 * n + 5, sorted(he))
+        origins = {"x": sorted(partition.clique), "y": sorted(partition.independent)}
 
-    elif kind is GadgetKind.LN:
-        x = lambda i: n + i
-        y, z = 2 * n, 2 * n + 1
-        he = list(edges)
-        for i in range(n):
-            roles[x(i)] = ("x", i)
-            he += [(i, x(i)), (x(i), y)]
-        roles[y] = ("y", None)
-        roles[z] = ("z", None)
-        he.append((y, z))
-        h = Graph(2 * n + 2, he)
-
-    elif kind is GadgetKind.APX:
-        u, x, y = (lambda i: n + i), (lambda i: 2 * n + i), (lambda i: 3 * n + i)
-        z, w = (lambda i: 4 * n + i), (lambda i: 5 * n + i)
-        he = []
-        for i in range(n):
-            roles[u(i)] = ("u", i)
-            roles[x(i)] = ("x", i)
-            roles[y(i)] = ("y", i)
-            roles[z(i)] = ("z", i)
-            roles[w(i)] = ("w", i)
-            he += [(i, u(i)), (u(i), w(i)), (u(i), x(i)), (x(i), y(i)),
-                   (y(i), z(i)), (z(i), u(i))]
+    roles: dict[int, Role] = {v: ("original", v) for v in range(n)}
+    for tag in layout.blocks:
+        for i in origins[tag]:
+            roles[len(roles)] = (tag, i)
+    for tag in layout.singles:
+        roles[len(roles)] = (tag, None)
+    ids = {("v" if tag == "original" else tag, i): v for v, (tag, i) in roles.items()}
+    he = set() if kind is GadgetKind.APX else set(edges)
+    for i in range(n):
+        for pair in layout.edges:
+            ends = tuple(ids.get((tag, i), ids.get((tag, None))) for tag in pair)
+            if None not in ends:
+                he.add(ends)
+    if kind is GadgetKind.SPLIT:  # the clique (x's origins) enlarged by every y_j, s and w
+        clique_h = origins["x"] + [v for v, (tag, _) in roles.items() if tag in ("y", "s", "w")]
+        he.update(itertools.combinations(sorted(clique_h), 2))
+    if kind is GadgetKind.APX:
         for idx, (a, b) in enumerate(edges):
-            ev = 6 * n + idx
+            ev = len(roles)
             roles[ev] = ("edge", idx)
-            he += [(a, ev), (b, ev)]
-        h = Graph(6 * n + len(edges), he)
-
-    else:
-        raise ValueError(f"unknown gadget kind: {kind}")
-
-    return GadgetOutput(h=h, kind=kind, roles=roles, source_size=n,
+            he.update([(a, ev), (b, ev)])
+    return GadgetOutput(h=Graph(len(roles), he), kind=kind, roles=roles, source_size=n,
                         source_edges=tuple(edges), partition=partition)
-
-
-def _source_graph(go: GadgetOutput) -> Graph:
-    return Graph(go.source_size, go.source_edges)
-
-
-def _is_vertex_cover(go: GadgetOutput, members: set[int]) -> bool:
-    return all(a in members or b in members for a, b in go.source_edges)
 
 
 def extend_solution(go: GadgetOutput, d_g) -> tuple[int, ...]:
@@ -197,30 +195,12 @@ def extend_solution(go: GadgetOutput, d_g) -> tuple[int, ...]:
     set (GP4) or a vertex cover (APX); the output then satisfies TOTAL on H
     for GP4 and SEMITOTAL on H for the other kinds.
     """
-    g = _source_graph(go)
+    g = Graph(go.source_size, go.source_edges)
     members = set(check_vertex_set(g, d_g))
-    n = go.source_size
-    kind = go.kind
-    if kind is GadgetKind.GP4:
-        if not verify(g, members, DominationKind.TOTAL).valid:
-            raise ValueError("d_g is not a total dominating set of the source")
-        # x_i and y_i dominate the whole pendant path totally (w_i would
-        # leave y_i without a neighbor in the set)
-        extra = [2 * n + i for i in range(n)] + [3 * n + i for i in range(n)]
-    elif kind is GadgetKind.APX:
-        if not _is_vertex_cover(go, members):
-            raise ValueError("d_g is not a vertex cover of the source")
-        extra = [n + i for i in range(n)] + [3 * n + i for i in range(n)]  # u_i, y_i
-    else:
-        if not verify(g, members, DominationKind.DOMINATING).valid:
-            raise ValueError("d_g is not a dominating set of the source")
-        if kind is GadgetKind.BIPARTITE:
-            extra = [4 * n + i for i in range(n)] + [2 * n + i for i in range(n)]  # u_i, y_i
-        elif kind is GadgetKind.SPLIT:
-            extra = [2 * n, 2 * n + 3]  # w, s
-        else:  # LN
-            extra = [2 * n]  # y
-    return tuple(sorted(members | set(extra)))
+    layout = _LAYOUT[go.kind]
+    if not layout.source.solved_by(g, members):
+        raise ValueError(f"d_g is not {layout.source.name} of the source")
+    return tuple(sorted(members.union(*map(go.vertices_with_tag, layout.lift))))
 
 
 def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
@@ -237,51 +217,27 @@ def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
     members = set(check_vertex_set(go.h, d_h))
     if not verify(go.h, members, need).valid:
         raise ValueError("d_h is not valid on the gadget graph")
-    g = _source_graph(go)
-    n = go.source_size
-
-    if kind is GadgetKind.BIPARTITE:
-        out = {v for v in members if v < n}
-        out.update(i for i in range(n) if 3 * n + i in members)  # z_i -> v_i
-        return tuple(sorted(out))
-
-    if kind is GadgetKind.GP4:
-        out = {v for v in members if v < n}
-        for i in range(n):
-            if n + i in members:  # w_i -> smallest source neighbor of v_i
-                nb = g.neighbors(i)
-                if not nb:
-                    raise InfeasibleError("source vertex has no neighbor to stand in for its pendant")
-                out.add(nb[0])
-        return tuple(sorted(out))
-
-    if kind is GadgetKind.LN:
-        out = {v for v in members if v < n}
-        out.update(i for i in range(n) if n + i in members)  # x_i -> v_i
-        return tuple(sorted(out))
-
-    if kind is GadgetKind.APX:
-        out = {v for v in members if v < n}
-        for idx, (a, b) in enumerate(go.source_edges):
-            if 6 * n + idx in members:  # edge vertex -> smaller endpoint
-                out.add(min(a, b))
-        return tuple(sorted(out))
-
-    # SPLIT
-    clique = sorted(go.partition.clique)
-    indep = sorted(go.partition.independent)
-    p = len(clique)
-    xs = {n + i: clique[i] for i in range(p)}
-    ys = {n + p + j: indep[j] for j in range(len(indep))}
-    out = {v for v in members if v < n}
-    out.update(xs[v] for v in members if v in xs)
-    out.update(ys[v] for v in members if v in ys)
-    if not verify(g, out, DominationKind.DOMINATING).valid:
+    g = Graph(go.source_size, go.source_edges)
+    project = _LAYOUT[kind].project
+    out = set()
+    for v in members:
+        tag, i = go.roles[v]
+        rule = "origin" if tag == "original" else project.get(tag)
+        if rule == "origin":
+            out.add(i)
+        elif rule == "endpoint":  # edge vertex -> smaller endpoint
+            out.add(min(go.source_edges[i]))
+        elif rule == "neighbor":  # w_i -> smallest source neighbor of v_i
+            nb = g.neighbors(i)
+            if not nb:
+                raise InfeasibleError("source vertex has no neighbor to stand in for its pendant")
+            out.add(nb[0])
+    if kind is GadgetKind.SPLIT and not verify(g, out, DominationKind.DOMINATING).valid:
         # Only clique vertices without independent neighbors can be left
         # uncovered, and only when no clique vertex was selected; swapping
         # one independent member for one of its clique neighbors fixes every
         # such vertex without changing the cardinality.
-        indep_members = sorted(out & set(indep))
+        indep_members = sorted(out & set(go.partition.independent))
         if not indep_members:
             raise InfeasibleError("gadget solution cannot be projected: empty independent part")
         u_star = indep_members[0]
@@ -315,36 +271,20 @@ def check_reduction(g: Graph, kind: GadgetKind,
     if g.n > cap or (kind is GadgetKind.APX and g.m > APX_EDGE_CAP):
         raise SizeCapError(f"source too large for {kind.value} check (cap n<={cap})")
     go = build_gadget(g, kind, partition)
-    h = go.h
-    n = g.n
-    details: dict[str, int] = {"n": n, "m": g.m, "h_n": h.n, "h_m": h.m}
-
+    layout = _LAYOUT[kind]
+    opt_h = exact_min(go.h, DominationKind.SEMITOTAL)
+    details: dict[str, int] = {"n": g.n, "m": g.m, "h_n": go.h.n, "h_m": go.h.m,
+                               "semitotal_h": len(opt_h)}
     if kind is GadgetKind.GP4:
-        semi_h = len(exact_min(h, DominationKind.SEMITOTAL))
-        total_h = len(exact_min(h, DominationKind.TOTAL))
-        total_g = len(exact_min(g, DominationKind.TOTAL))
-        details.update(semitotal_h=semi_h, total_h=total_h, total_g=total_g)
-        holds = semi_h == 2 * n and total_h == 2 * n + total_g
-    elif kind is GadgetKind.BIPARTITE:
-        semi_h = len(exact_min(h, DominationKind.SEMITOTAL))
-        gamma_g = len(exact_min(g, DominationKind.DOMINATING))
-        details.update(semitotal_h=semi_h, gamma_g=gamma_g)
-        holds = semi_h == 2 * n + gamma_g
-    elif kind is GadgetKind.SPLIT:
-        semi_h = len(exact_min(h, DominationKind.SEMITOTAL))
-        gamma_g = len(exact_min(g, DominationKind.DOMINATING))
-        details.update(semitotal_h=semi_h, gamma_g=gamma_g)
-        holds = semi_h == gamma_g + 2
-    elif kind is GadgetKind.APX:
-        semi_h = len(exact_min(h, DominationKind.SEMITOTAL))
-        tau_g = len(min_vertex_cover(g))
-        details.update(semitotal_h=semi_h, tau_g=tau_g)
-        holds = semi_h == tau_g + 2 * n
-    else:  # LN
-        opt_h = exact_min(h, DominationKind.SEMITOTAL)
-        gamma_g = len(exact_min(g, DominationKind.DOMINATING))
-        extracted = extract_solution(go, opt_h)
-        details.update(semitotal_h=len(opt_h), gamma_g=gamma_g)
-        holds = (len(opt_h) <= gamma_g + 1
-                 and verify(g, extracted, DominationKind.DOMINATING).valid)
+        details["total_h"] = len(exact_min(go.h, DominationKind.TOTAL))
+    source = layout.source.optimum(g)
+    details[layout.source.key] = source
+    offset = sum(len(go.vertices_with_tag(tag)) for tag in layout.lift)
+    if kind is GadgetKind.GP4:  # H's total number carries the offset; its semitotal one is 2n
+        holds = len(opt_h) == 2 * g.n and details["total_h"] == source + offset
+    elif kind is GadgetKind.LN:  # an inequality, checked with its projection
+        holds = (len(opt_h) <= source + offset
+                 and verify(g, extract_solution(go, opt_h), DominationKind.DOMINATING).valid)
+    else:
+        holds = len(opt_h) == source + offset
     return ReductionReport(kind=kind, holds=holds, details=details)

@@ -210,6 +210,13 @@ class TestSolveInterval:
     def test_container_plus_smallest_other(self):
         assert solve_interval(IntervalModel(((0, 10), (2, 3), (4, 5)))) == (0, 1)
 
+    def test_container_component_takes_smallest_other_id(self):
+        # the container component alone gives (0, 1); beside another
+        # component it must still pair the container with the smallest id
+        assert solve_interval(IntervalModel(((0, 10), (5, 6), (1, 2)))) == (0, 1)
+        m = IntervalModel(((0, 10), (5, 6), (1, 2), (20, 22), (21, 23)))
+        assert solve_interval(m) == (0, 1, 3, 4)
+
     def test_p5_model(self):
         s = solve_interval(P5_MODEL)
         assert len(s) == 2
@@ -268,6 +275,36 @@ class TestSolveInterval:
             assert verify(g, s, SEMI).valid
             assert len(s) == len(exact_min(g, SEMI))
             solved += 1
+
+    def test_union_matches_per_component_answers(self):
+        # each component is solved alone on its intervals in union-id order
+        rng = SplitMix64(2718)
+        for _ in range(60):
+            pairs, label = [], []
+            while len(set(label)) < 2 + rng.randrange(3):
+                n = 2 + rng.randrange(9)
+                family = rng.randrange(3)
+                if family == 0:
+                    part = bounded_length_pairs(n, rng)
+                elif family == 1:
+                    part = list(gen_interval_model(n, rng.next_u64()).intervals)
+                else:  # one interval properly containing all others
+                    starts = [1 + rng.randrange(4 * n - 4) for _ in range(n - 1)]
+                    part = [(0, 4 * n)] + [(a, a + 1 + rng.randrange(3)) for a in starts]
+                if not is_connected(intersection_graph(IntervalModel(tuple(part)))):
+                    continue
+                shift = max((b for _, b in pairs), default=0) + 5
+                lo = min(a for a, _ in part)
+                pairs += [(a - lo + shift, b - lo + shift) for a, b in part]
+                label += [len(set(label))] * n
+            order = rng.sample_without_replacement(len(pairs), len(pairs))
+            union = IntervalModel(tuple(pairs[k] for k in order))
+            expected = []
+            for c in set(label):
+                ids = [pos for pos, k in enumerate(order) if label[k] == c]
+                sub = IntervalModel(tuple(union.intervals[i] for i in ids))
+                expected += [ids[k] for k in solve_interval(sub)]
+            assert solve_interval(union) == tuple(sorted(expected))
 
     def test_deterministic(self):
         m = gen_interval_model(40, 9)

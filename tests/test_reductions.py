@@ -53,6 +53,60 @@ class TestBuildGadget:
             6: ("y", 0), 7: ("y", 1), 8: ("z", 0), 9: ("z", 1),
         }
 
+    def test_p3_role_maps_and_edges_are_pinned(self):
+        golden = {
+            GadgetKind.GP4: (
+                {0: ("original", 0), 1: ("original", 1), 2: ("original", 2),
+                 3: ("w", 0), 4: ("w", 1), 5: ("w", 2), 6: ("x", 0), 7: ("x", 1),
+                 8: ("x", 2), 9: ("y", 0), 10: ("y", 1), 11: ("y", 2),
+                 12: ("z", 0), 13: ("z", 1), 14: ("z", 2)},
+                [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 6), (4, 7), (5, 8),
+                 (6, 9), (7, 10), (8, 11), (9, 12), (10, 13), (11, 14)]),
+            GadgetKind.BIPARTITE: (
+                {0: ("original", 0), 1: ("original", 1), 2: ("original", 2),
+                 3: ("x", 0), 4: ("x", 1), 5: ("x", 2), 6: ("y", 0), 7: ("y", 1),
+                 8: ("y", 2), 9: ("z", 0), 10: ("z", 1), 11: ("z", 2),
+                 12: ("u", 0), 13: ("u", 1), 14: ("u", 2), 15: ("w", 0),
+                 16: ("w", 1), 17: ("w", 2)},
+                [(0, 1), (0, 9), (1, 2), (1, 10), (2, 11), (3, 6), (4, 7), (5, 8),
+                 (6, 9), (7, 10), (8, 11), (9, 12), (10, 13), (11, 14), (12, 15),
+                 (13, 16), (14, 17)]),
+            GadgetKind.LN: (
+                {0: ("original", 0), 1: ("original", 1), 2: ("original", 2),
+                 3: ("x", 0), 4: ("x", 1), 5: ("x", 2), 6: ("y", None),
+                 7: ("z", None)},
+                [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 6), (4, 6), (5, 6),
+                 (6, 7)]),
+            GadgetKind.APX: (
+                {0: ("original", 0), 1: ("original", 1), 2: ("original", 2),
+                 3: ("u", 0), 4: ("u", 1), 5: ("u", 2), 6: ("x", 0), 7: ("x", 1),
+                 8: ("x", 2), 9: ("y", 0), 10: ("y", 1), 11: ("y", 2),
+                 12: ("z", 0), 13: ("z", 1), 14: ("z", 2), 15: ("w", 0),
+                 16: ("w", 1), 17: ("w", 2), 18: ("edge", 0), 19: ("edge", 1)},
+                [(0, 3), (0, 18), (1, 4), (1, 18), (1, 19), (2, 5), (2, 19),
+                 (3, 6), (3, 12), (3, 15), (4, 7), (4, 13), (4, 16), (5, 8),
+                 (5, 14), (5, 17), (6, 9), (7, 10), (8, 11), (9, 12), (10, 13),
+                 (11, 14)]),
+        }
+        for kind, (roles, edges) in golden.items():
+            go = build_gadget(P3, kind)
+            assert go.roles == roles, kind
+            assert go.h.sorted_edges() == edges, kind
+
+    def test_split_role_map_and_edges_are_pinned(self):
+        g = Graph(3, [(0, 1), (0, 2)])
+        go = build_gadget(g, GadgetKind.SPLIT, SplitPartition((0, 1), (2,)))
+        assert go.roles == {
+            0: ("original", 0), 1: ("original", 1), 2: ("original", 2),
+            3: ("x", 0), 4: ("x", 1), 5: ("y", 2), 6: ("w", None),
+            7: ("z", None), 8: ("r", None), 9: ("s", None), 10: ("t", None),
+        }
+        assert go.h.sorted_edges() == [
+            (0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 9), (1, 4), (1, 5),
+            (1, 6), (1, 9), (2, 5), (3, 6), (4, 6), (5, 6), (5, 9), (5, 10),
+            (6, 7), (6, 9), (8, 9), (9, 10),
+        ]
+
     def test_bipartite_of_c4(self):
         go = build_gadget(C4, GadgetKind.BIPARTITE)
         assert go.h.n == 24
@@ -294,6 +348,28 @@ class TestCheckReduction:
         report = check_reduction(P3, GadgetKind.BIPARTITE)
         assert report.holds
         assert report.details["semitotal_h"] == 7
+
+    def test_details_are_pinned_in_order(self):
+        # key order is the order of the check-reduction JSON
+        head = [("n", 3), ("m", 2)]
+        cases = [
+            (P3, GadgetKind.GP4, None,
+             [("h_n", 15), ("h_m", 14), ("semitotal_h", 6), ("total_h", 8),
+              ("total_g", 2)]),
+            (P3, GadgetKind.BIPARTITE, None,
+             [("h_n", 18), ("h_m", 17), ("semitotal_h", 7), ("gamma_g", 1)]),
+            (P3, GadgetKind.LN, None,
+             [("h_n", 8), ("h_m", 9), ("semitotal_h", 2), ("gamma_g", 1)]),
+            (P3, GadgetKind.APX, None,
+             [("h_n", 20), ("h_m", 22), ("semitotal_h", 7), ("tau_g", 1)]),
+            (Graph(3, [(0, 1), (0, 2)]), GadgetKind.SPLIT,
+             SplitPartition((0, 1), (2,)),
+             [("h_n", 11), ("h_m", 20), ("semitotal_h", 3), ("gamma_g", 1)]),
+        ]
+        for g, kind, part, tail in cases:
+            report = check_reduction(g, kind, part)
+            assert report.holds, kind
+            assert list(report.details.items()) == head + tail, kind
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
