@@ -22,12 +22,14 @@ class Graph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         seen: set[tuple[int, int]] = set()
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for e in edges:
+            u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
+            if not (u < v and type(e) is tuple):  # store plain, normalized tuples
+                e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)

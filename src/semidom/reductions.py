@@ -265,12 +265,16 @@ def check_reduction(g: Graph, kind: GadgetKind,
     """Compare both sides of a gadget identity with the exact oracle.
 
     Size caps keep the brute force affordable; exceeding one raises
-    SizeCapError.
+    SizeCapError. A SPLIT partition with an empty independent part raises
+    ValueError: the identity semitotal_h = gamma_g + 2 does not hold there.
     """
     cap = ORACLE_CAPS[kind.value]
     if g.n > cap or (kind is GadgetKind.APX and g.m > APX_EDGE_CAP):
         raise SizeCapError(f"source too large for {kind.value} check (cap n<={cap})")
     go = build_gadget(g, kind, partition)
+    if kind is GadgetKind.SPLIT and not partition.independent:
+        raise ValueError("split check needs a nonempty independent part: "
+                         "semitotal_h = gamma_g + 2 assumes one")
     layout = _LAYOUT[kind]
     opt_h = exact_min(go.h, DominationKind.SEMITOTAL)
     details: dict[str, int] = {"n": g.n, "m": g.m, "h_n": go.h.n, "h_m": go.h.m,

@@ -33,19 +33,32 @@ def bfs_all(adj, src):
 
 def is_valid_set(n, edges, members, kind):
     """kind in {'dominating', 'total', 'semitotal'}, straight from definitions."""
+    return not violations(n, edges, members, kind)
+
+
+def violations(n, edges, members, kind):
+    """Every (vertex, reason) pair that breaks the definition, sorted by vertex.
+
+    Reasons are the strings UNDOMINATED (a non-member without a member
+    neighbour), NOT_TOTALLY_DOMINATED (any vertex without a member
+    neighbour; total kind only) and NO_PARTNER_WITHIN_2 (a member with no
+    other member at BFS distance at most 2; semitotal kind only).
+    """
     adj = adjacency(n, edges)
     sset = set(members)
-    if kind == "total":
-        return all(adj[v] & sset for v in range(n))
+    out = []
     for v in range(n):
-        if v not in sset and not adj[v] & sset:
-            return False
-    if kind == "semitotal":
-        for v in sset:
+        if kind == "total":
+            if not adj[v] & sset:
+                out.append((v, "NOT_TOTALLY_DOMINATED"))
+        elif v not in sset:
+            if not adj[v] & sset:
+                out.append((v, "UNDOMINATED"))
+        elif kind == "semitotal":
             dist = bfs_all(adj, v)
             if not any(dist.get(w, INF) <= 2 for w in sset if w != v):
-                return False
-    return True
+                out.append((v, "NO_PARTNER_WITHIN_2"))
+    return out
 
 
 def brute_min(n, edges, kind):

@@ -121,6 +121,12 @@ class TestCheckReduction:
                             "--clique", "1", "--ind", "1")
         assert code == 0 and doc["holds"] is True
 
+    def test_split_empty_independent_part_exits_1(self):
+        code, doc = run_cli("check-reduction", "--kind", "split",
+                            "--clique", "2", "--ind", "0")
+        assert code == 1 and doc["kind"] == "invalid-input"
+        assert "nonempty independent part" in doc["error"]
+
     def test_gp4_random_source(self):
         code, doc = run_cli("check-reduction", "--kind", "gp4", "--size", "3",
                             "--seed", "8")

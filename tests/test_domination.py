@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from semidom.domination import (DominationKind, ViolationReason, exact_min, veri
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_connected_graph
 from semidom.graph import Graph
+from semidom.intervals import intersection_graph, model_from_pairs
 from semidom.reductions import GadgetKind, build_gadget
 
 import oracles
@@ -45,8 +47,15 @@ class TestVerify:
         assert verify(P4, (0, 3), DOM).valid
 
     def test_out_of_range_member(self):
-        with pytest.raises(ValueError):
+        # the message names the smallest bad id
+        with pytest.raises(ValueError, match=r"^vertex 9 out of range for n=4$"):
             verify(P4, (9,), DOM)
+        with pytest.raises(ValueError, match=r"^vertex -1 out of range for n=4$"):
+            verify(P4, (2, 9, -1), SEMI)
+        with pytest.raises(ValueError, match=r"^vertex 4 out of range for n=4$"):
+            verify(P4, (4, 0), TOT)
+        with pytest.raises(ValueError, match=r"^vertex 0 out of range for n=0$"):
+            verify(Graph(0), (0,), DOM)
 
     def test_violations_enumerate_every_failure(self):
         report = verify(P5, (2,), SEMI)
@@ -65,6 +74,74 @@ class TestVerify:
             report = verify(g, members, kind)
             assert report.valid == oracles.is_valid_set(n, edges, members, name)
             assert report.valid == (not report.violations)
+
+
+KINDS = ((DOM, "dominating"), (TOT, "total"), (SEMI, "semitotal"))
+
+
+def assert_report_matches_oracle(g, s):
+    edges = g.sorted_edges()
+    for kind, name in KINDS:
+        report = verify(g, s, kind)
+        got = [(v, reason.value) for v, reason in report.violations]
+        assert got == oracles.violations(g.n, edges, s, name), (g.n, edges, s, name)
+        assert report.valid == (not got)
+
+
+def bounded_length_model_graph(n, rng):
+    # start steps 0-3 and lengths 1-5: touching endpoints, nesting and gaps
+    # that leave isolated intervals and several components
+    pairs, a = [], 0
+    for _ in range(n):
+        a += rng.randrange(4)
+        pairs.append((a, a + 1 + rng.randrange(5)))
+    return intersection_graph(model_from_pairs(pairs))
+
+
+class TestVerifyReports:
+    """Full violation lists, in order, against the definition-level oracle."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_graphs(self, data):
+        n = data.draw(st.integers(1, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+        s = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+        assert_report_matches_oracle(g, s)
+
+    def test_seeded_interval_graphs(self):
+        rng = SplitMix64(404)
+        for _ in range(150):
+            n = 1 + rng.randrange(40)
+            g = bounded_length_model_graph(n, rng)
+            density = rng.random()
+            s = [v for v in range(n) if rng.random() < density]
+            assert_report_matches_oracle(g, s)
+
+    def test_edge_cases(self):
+        isolated = Graph(5, [(0, 1), (1, 2)])  # 3 and 4 are isolated
+        for g, s in ((P4, ()), (isolated, ()), (isolated, (1,)), (isolated, (0, 1, 3)),
+                     (isolated, (4, 1, 4, 1, 3)), (isolated, range(5)), (C4, (0, 0, 0)),
+                     (C4, (0, 0, 2, 2)), (Graph(1), ()), (Graph(1), (0,)), (Graph(0), ())):
+            assert_report_matches_oracle(g, s)
+
+    def test_memory_is_linear_on_a_long_path(self):
+        # members 0, 3, ..., 29997 sit 3 apart, so none has a partner, and
+        # only vertex 29999 is undominated; n-bit mask tables would take ~175 MB
+        n = 30_000
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        tracemalloc.start()
+        try:
+            report = verify(g, range(0, n, 3), SEMI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert len(report.violations) == n // 3 + 1
+        assert report.violations[-2:] == ((29997, ViolationReason.NO_PARTNER_WITHIN_2),
+                                          (29999, ViolationReason.UNDOMINATED))
 
 
 class TestExactMin:

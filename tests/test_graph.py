@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,16 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    def test_duplicate_error_comes_before_a_later_self_loop(self):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(3, [(0, 1), (0, 1), (2, 2)])
+
+    def test_edges_are_stored_as_plain_normalized_tuples(self):
+        Edge = namedtuple("Edge", "u v")
+        g = Graph(4, [[1, 0], Edge(1, 2), Edge(3, 2), (0, 3)])
+        assert g.edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert all(type(e) is tuple for e in g.edges)
 
     def test_adjacency_is_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 0), (0, 1)])

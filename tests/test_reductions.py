@@ -344,6 +344,14 @@ class TestCheckReduction:
         assert report.holds
         assert report.details["semitotal_h"] == 3
 
+    def test_split_rejects_empty_independent_part(self):
+        # the gadget still builds, but semitotal_h = gamma_g + 2 needs q >= 1
+        for p in (1, 2, 3):
+            g, part = gen_split_graph(p, 0, 0.5, 0)
+            build_gadget(g, GadgetKind.SPLIT, part)
+            with pytest.raises(ValueError, match="nonempty independent part"):
+                check_reduction(g, GadgetKind.SPLIT, part)
+
     def test_bipartite_of_p3(self):
         report = check_reduction(P3, GadgetKind.BIPARTITE)
         assert report.holds
