@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domination import DominationKind, verify
+from .domination import DominationKind, check_no_isolated, verify
 from .graph import Graph, check_vertex_set, closed_masks, distance2_masks, is_connected
 from . import reductions
 
@@ -48,12 +48,17 @@ def greedy_dominating_set(g: Graph) -> tuple[int, ...]:
 
 
 def build_semitotal_setcover(g: Graph, d) -> SetCoverInstance:
-    """Set-cover instance whose covers give every lonely member a partner."""
+    """Set-cover instance whose covers give every lonely member a partner.
+
+    Raises ValueError when d is not a dominating set or g is empty, and
+    InfeasibleError when g has an isolated vertex, which no partner can reach.
+    """
     members = check_vertex_set(g, d)
     if not verify(g, members, DominationKind.DOMINATING).valid:
         raise ValueError("d is not a dominating set")
-    if g.n < 2 or not is_connected(g):
-        raise ValueError("graph must be connected with at least two vertices")
+    if g.n == 0:
+        raise ValueError("graph is empty")
+    check_no_isolated(g)
     partner = distance2_masks(g)
     dmask = 0
     for v in members:
@@ -100,9 +105,13 @@ def greedy_set_cover(inst: SetCoverInstance) -> list[int]:
 
 
 def approx_semitotal(g: Graph) -> tuple[int, ...]:
-    """Two-phase greedy semitotal dominating set (ratio 2 + 3 ln(Δ+1))."""
-    if g.n < 2 or not is_connected(g):
-        raise ValueError("graph must be connected with at least two vertices")
+    """Two-phase greedy semitotal dominating set (ratio 2 + 3 ln(Δ+1)).
+
+    Works on disconnected graphs: a lonely member of a component with two or
+    more vertices has a neighbor outside the dominating set to pair with,
+    and the ratio holds per component. Raises ValueError for an empty graph
+    and InfeasibleError for an isolated vertex.
+    """
     d = greedy_dominating_set(g)
     inst = build_semitotal_setcover(g, d)
     if not inst.universe:

@@ -61,10 +61,12 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
+    if args.max_nodes is not None and args.algo != "exact":
+        raise ValueError("--max-nodes requires --algo exact")
     g, model = _load_instance(args)
     t0 = time.perf_counter()
     if args.algo == "exact":
-        result = exact_min(g, DominationKind.SEMITOTAL)
+        result = exact_min(g, DominationKind.SEMITOTAL, args.max_nodes)
     elif args.algo == "interval":
         if model is None:
             raise ValueError("--algo interval requires --format intervals")
@@ -223,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("exact", "interval", "approx"), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("edgelist", "intervals"), default="edgelist")
+    p.add_argument("--max-nodes", type=int,
+                   help="exact search node budget; exceeding it exits 4")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a vertex set against a domination kind")

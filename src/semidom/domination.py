@@ -5,9 +5,11 @@ total dominating set gives every vertex (members included) a neighbor in the
 set; a semitotal dominating set is a dominating set in which every member has
 another member within distance 2.
 
-The exact oracle enumerates cardinalities upward and runs a pruned
-depth-first search over subsets in lexicographic order, so it returns the
-lexicographically smallest optimal set and is fully deterministic.
+The exact oracle first finds the optimum size with a most-constrained
+branching search, then fixes the lexicographically smallest optimal set one
+member at a time with the same search (self-reduction), so it is fully
+deterministic. `tests/oracles.py` keeps a plain lexicographic search as the
+differential reference.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, SizeCapError
 from .graph import Graph, check_vertex_set, closed_masks, distance2_masks, open_masks
 
 
@@ -64,103 +66,215 @@ def verify(g: Graph, s, kind: DominationKind) -> VerificationReport:
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
-def exact_min(g: Graph, kind: DominationKind) -> tuple[int, ...]:
+def check_no_isolated(g: Graph) -> None:
+    """Raise InfeasibleError naming the smallest isolated vertex of g: no
+    total or semitotal dominating set can give it a neighbor or partner."""
+    for v in range(g.n):
+        if not g.neighbors(v):
+            raise InfeasibleError(f"isolated vertex {v}")
+
+
+def exact_min(g: Graph, kind: DominationKind,
+              max_nodes: int | None = None) -> tuple[int, ...]:
     """Minimum set of the given kind, lexicographically smallest among optima.
 
-    Iterative deepening over the cardinality k with a pruned DFS per k; the
-    DFS visits subsets in lexicographic order, so the first valid leaf is
-    the answer. Raises InfeasibleError when an isolated vertex makes
-    TOTAL/SEMITOTAL impossible.
+    Both phases run one bounded search, feasible(r, chosen, dominated,
+    lonely, allowed), which returns a valid set that adds at most r members
+    of `allowed` to `chosen`, or 0 when none exists. Lonely members
+    (SEMITOTAL only) are members with no other member within distance 2.
+
+    - It branches on the most constrained item, an undominated vertex or a
+      lonely member with the fewest candidates left in `allowed`. Each
+      tried candidate leaves `allowed` for its later siblings, so the
+      branches are disjoint; the one dominating most new vertices goes
+      first, smallest id on ties.
+    - Items left with a single candidate take it at once.
+    - It prunes by three lower bounds: a packing of undominated vertices
+      with pairwise disjoint candidate sets; for SEMITOTAL, a coverage bound
+      (a new member with no member within distance 2 shares a vertex it
+      dominates with another new member); and the number of lonely members
+      one new member can pair.
+
+    1. Size: k* is the smallest k for which the search from the empty set
+       succeeds; its answer is a first optimum.
+    2. Order: member i is the smallest u for which the search with budget
+       k* - i - 1 and `allowed` = {w > u} succeeds from the first i members
+       plus u. Only ids below member i of the current optimum need a
+       search; a success replaces that optimum. That member is never past
+       the last id that can still dominate every undominated vertex and
+       pair every lonely member.
+
+    Raises ValueError for an empty graph, InfeasibleError when an isolated
+    vertex makes TOTAL/SEMITOTAL impossible, and SizeCapError once the two
+    phases together visit more than max_nodes search nodes (default:
+    unbounded).
     """
     n = g.n
     if n == 0:
         raise ValueError("graph is empty")
-    if kind in (DominationKind.TOTAL, DominationKind.SEMITOTAL):
-        for v in range(n):
-            if g.degree(v) == 0:
-                raise InfeasibleError(f"isolated vertex {v}")
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"node budget must be positive, got {max_nodes}")
+    if kind is not DominationKind.DOMINATING:
+        check_no_isolated(g)
 
-    closed = closed_masks(g)
-    cover = open_masks(g) if kind is DominationKind.TOTAL else closed
+    cover = open_masks(g) if kind is DominationKind.TOTAL else closed_masks(g)
     semitotal = kind is DominationKind.SEMITOTAL
     partner = distance2_masks(g) if semitotal else None
-    allow_useless_skip = not semitotal  # a member covering nothing new can
-    # still be required as another member's distance-2 partner
     full = (1 << n) - 1
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << i)
+    nodes = need = 0
+    # the packing scans vertices by the size of their closed neighborhood,
+    # smallest (leaves) first, and so packs more sets; for TOTAL, plain id
+    # order packed more on GP4 gadgets
+    tiers = [full]
+    if kind is not DominationKind.TOTAL:
+        by_size: dict[int, int] = {}
+        for v in range(n):
+            c = cover[v].bit_count()
+            by_size[c] = by_size.get(c, 0) | 1 << v
+        tiers = [by_size[c] for c in sorted(by_size)]
 
-    def lower_bound(undom: int, pool: int, lonely: int) -> int:
-        # disjoint-neighborhood packing: pairwise disjoint cover sets need
-        # pairwise distinct new dominators
-        packed = 0
-        used = 0
-        m = undom
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            cv = cover[v]
-            if cv & pool == 0:
-                return n + 1  # v can never be dominated down this branch
-            if cv & used == 0:
-                packed += 1
-                used |= cv
-        need = packed
-        if semitotal and lonely:
-            best = 0
-            m = pool
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                c = (partner[u] & lonely).bit_count()
-                if c > best:
-                    best = c
-            if best == 0:
-                return n + 1
-            fix = -(-lonely.bit_count() // best)
-            if fix > need:
-                need = fix
-        return need
+    def step_lonely(lonely: int, chosen: int, u: int) -> int:
+        # lonely members once u joins `chosen`
+        if not semitotal:
+            return 0
+        if partner[u] & chosen:
+            return lonely & ~partner[u]
+        return lonely & ~partner[u] | 1 << u
 
-    def dfs(start: int, r: int, chosen: list[int], chosen_mask: int,
-            dominated: int, lonely: int) -> tuple[int, ...] | None:
-        if r == 0:
-            if dominated == full and lonely == 0:
-                return tuple(chosen)
-            return None
+    def feasible(r: int, chosen: int, dominated: int, lonely: int, allowed: int) -> int:
+        nonlocal nodes, need
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise SizeCapError(f"exact search exceeded its budget of {max_nodes} nodes")
         undom = full & ~dominated
-        pool = suffix[start]
-        if lower_bound(undom, pool, lonely) > r:
-            return None
-        if semitotal and lonely:
+        if not undom and not lonely:
+            return chosen
+        if r == 0:
+            return 0
+        # most constrained item, and a packing of undominated vertices whose
+        # remaining candidate sets are pairwise disjoint
+        best, fewest = 0, n + 1
+        forced = 0
+        packed = used = reach = 0
+        for tier in tiers:
+            m = undom & tier
+            while m:
+                low = m & -m
+                m ^= low
+                cands = cover[low.bit_length() - 1] & allowed
+                if not cands:
+                    return 0
+                c = cands.bit_count()
+                if c < fewest:
+                    best, fewest = cands, c
+                if c == 1:
+                    forced |= cands
+                if not cands & used:
+                    packed += 1
+                    used |= cands
+                reach |= cands
+        if packed > r:
+            if not chosen:  # the root: no size below `packed` can succeed
+                need = packed
+            return 0
+        if semitotal and undom:
+            # a new member u with no chosen member within distance 2 has N[u]
+            # inside undom and shares one of its vertices with another new
+            # member, so with g1/g2 the largest gains of the two sorts, r
+            # members dominate at most r * max(g1, g2 - 1/2) vertices
+            g1 = g2 = 0
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                u = low.bit_length() - 1
+                gain = (cover[u] & undom).bit_count()
+                if partner[u] & chosen:
+                    if gain > g1:
+                        g1 = gain
+                elif gain > g2:
+                    g2 = gain
+            if 2 * undom.bit_count() > r * max(2 * g1, 2 * g2 - 1):
+                return 0
+        if lonely:
+            reach = 0
             m = lonely
             while m:
-                c = (m & -m).bit_length() - 1
-                m &= m - 1
-                if partner[c] & pool == 0:
-                    return None
-        for u in range(start, n):
-            cu = cover[u]
-            if allow_useless_skip and cu & undom == 0:
-                continue
-            if semitotal:
-                new_lonely = lonely & ~partner[u]
-                if partner[u] & chosen_mask == 0:
-                    new_lonely |= 1 << u
-            else:
-                new_lonely = 0
-            chosen.append(u)
-            found = dfs(u + 1, r - 1, chosen, chosen_mask | (1 << u),
-                        dominated | cu, new_lonely)
-            chosen.pop()
-            if found is not None:
+                low = m & -m
+                m ^= low
+                cands = partner[low.bit_length() - 1] & allowed
+                if not cands:
+                    return 0
+                c = cands.bit_count()
+                if c < fewest:
+                    best, fewest = cands, c
+                if c == 1:
+                    forced |= cands
+                reach |= cands
+            # each new member pairs at most `most` lonely members
+            most = 0
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                c = (partner[low.bit_length() - 1] & lonely).bit_count()
+                if c > most:
+                    most = c
+            if -(-lonely.bit_count() // most) > r:
+                return 0
+        if forced:
+            # every completion takes the only candidate of an item
+            r -= forced.bit_count()
+            if r < 0:
+                return 0
+            m = forced
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                lonely = step_lonely(lonely, chosen, u)
+                chosen |= low
+                dominated |= cover[u]
+            return feasible(r, chosen, dominated, lonely, allowed & ~forced)
+        order = []
+        while best:
+            low = best & -best
+            best ^= low
+            u = low.bit_length() - 1
+            order.append((-(cover[u] & undom).bit_count(), u))
+        order.sort()
+        for _, u in order:
+            low = 1 << u
+            allowed ^= low
+            found = feasible(r - 1, chosen | low, dominated | cover[u],
+                             step_lonely(lonely, chosen, u), allowed)
+            if found:
                 return found
-        return None
+        return 0
 
-    k0 = 2 if semitotal else 1
-    for k in range(k0, n + 1):
-        found = dfs(0, k, [], 0, 0, 0)
-        if found is not None:
-            return found
-    raise InfeasibleError("no valid set exists")  # unreachable for valid input
+    k = 2 if semitotal else 1
+    while not (best := feasible(k, 0, 0, 0, full)):
+        k = max(k + 1, need)
+
+    # `best` is an optimum whose i smallest members are `chosen`; position
+    # i takes its next member unless a smaller u also completes to size k
+    chosen = dominated = lonely = 0
+    start = 0
+    for i in range(k):
+        nxt = best & ~chosen
+        if not nxt:
+            raise RuntimeError(f"exact search lost its optimum of size {k} at member {i}")
+        nxt &= -nxt
+        for u in range(start, nxt.bit_length() - 1):
+            if not semitotal and not cover[u] & ~dominated:
+                continue  # a member that dominates nothing new is never in an optimum
+            low = 1 << u
+            found = feasible(k - i - 1, chosen | low, dominated | cover[u],
+                             step_lonely(lonely, chosen, u), full & ~((low << 1) - 1))
+            if found:
+                best, nxt = found, low
+                break
+        u = nxt.bit_length() - 1
+        lonely = step_lonely(lonely, chosen, u)
+        chosen |= nxt
+        dominated |= cover[u]
+        start = u + 1
+    return tuple(v for v in range(n) if chosen >> v & 1)

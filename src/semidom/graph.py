@@ -78,7 +78,15 @@ class Graph:
 
 
 def check_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
-    """Validate a vertex set against g and return it as a sorted tuple."""
+    """Validate a vertex set against g and return it as a sorted tuple.
+
+    Raises ValueError for the first id, in input order, that is not an int,
+    then for the smallest id out of range.
+    """
+    members = list(members)
+    for v in members:
+        if not isinstance(v, int):
+            raise ValueError(f"vertex id {v!r} is not an integer")
     out = sorted(set(members))
     for v in out:
         g.check_vertex(v)

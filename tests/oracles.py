@@ -8,6 +8,8 @@ test.
 import itertools
 from collections import deque
 
+from semidom.errors import InfeasibleError
+
 INF = float("inf")
 
 
@@ -68,6 +70,114 @@ def brute_min(n, edges, kind):
             if is_valid_set(n, edges, subset, kind):
                 return subset
     return None
+
+
+def lex_exact_min(n, edges, kind):
+    """Lexicographically smallest minimum set by iterative deepening.
+
+    The differential reference for `exact_min`: for k = 1, 2, ... a depth-
+    first search visits the k-subsets in lexicographic order, pruned by a
+    packing bound, and returns the first valid one. It raises the same
+    errors as `exact_min`: ValueError for n = 0 and InfeasibleError for an
+    isolated vertex under the total and semitotal kinds.
+    """
+    if n == 0:
+        raise ValueError("graph is empty")
+    adj = adjacency(n, edges)
+    if kind != "dominating":
+        for v in range(n):
+            if not adj[v]:
+                raise InfeasibleError(f"isolated vertex {v}")
+    opened = [sum(1 << u for u in adj[v]) for v in range(n)]
+    closed = [opened[v] | 1 << v for v in range(n)]
+    cover = opened if kind == "total" else closed
+    semitotal = kind == "semitotal"
+    partner = None
+    if semitotal:
+        partner = []
+        for v in range(n):
+            m = closed[v]
+            for u in adj[v]:
+                m |= closed[u]
+            partner.append(m & ~(1 << v))
+    allow_useless_skip = not semitotal  # a member covering nothing new can
+    # still be required as another member's distance-2 partner
+    full = (1 << n) - 1
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | (1 << i)
+
+    def lower_bound(undom, pool, lonely):
+        # disjoint-neighborhood packing: pairwise disjoint cover sets need
+        # pairwise distinct new dominators
+        packed = 0
+        used = 0
+        m = undom
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            cv = cover[v]
+            if cv & pool == 0:
+                return n + 1  # v can never be dominated down this branch
+            if cv & used == 0:
+                packed += 1
+                used |= cv
+        need = packed
+        if semitotal and lonely:
+            best = 0
+            m = pool
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                c = (partner[u] & lonely).bit_count()
+                if c > best:
+                    best = c
+            if best == 0:
+                return n + 1
+            fix = -(-lonely.bit_count() // best)
+            if fix > need:
+                need = fix
+        return need
+
+    def dfs(start, r, chosen, chosen_mask, dominated, lonely):
+        if r == 0:
+            if dominated == full and lonely == 0:
+                return tuple(chosen)
+            return None
+        undom = full & ~dominated
+        pool = suffix[start]
+        if lower_bound(undom, pool, lonely) > r:
+            return None
+        if semitotal and lonely:
+            m = lonely
+            while m:
+                c = (m & -m).bit_length() - 1
+                m &= m - 1
+                if partner[c] & pool == 0:
+                    return None
+        for u in range(start, n):
+            cu = cover[u]
+            if allow_useless_skip and cu & undom == 0:
+                continue
+            if semitotal:
+                new_lonely = lonely & ~partner[u]
+                if partner[u] & chosen_mask == 0:
+                    new_lonely |= 1 << u
+            else:
+                new_lonely = 0
+            chosen.append(u)
+            found = dfs(u + 1, r - 1, chosen, chosen_mask | (1 << u),
+                        dominated | cu, new_lonely)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    for k in range(2 if semitotal else 1, n + 1):
+        found = dfs(0, k, [], 0, 0, 0)
+        if found is not None:
+            return found
+    raise InfeasibleError("no valid set exists")  # unreachable for valid input
 
 
 def brute_min_cover(universe, family_sets):

@@ -126,6 +126,15 @@ def test_criterion_3_chain_budget():
     report(3, elapsed < 5.0, f"chain n={n} in {elapsed:.2f}s (< 5s), |S|={len(s)}")
 
 
+def test_exact_oracle_pool_budget():
+    # the 39 graphs of the benchmark's graph-exact pool, solved in one budget
+    t0 = time.perf_counter()
+    sizes = [len(exact_min(gen_connected_graph(30, 0.08, s), SEMI)) for s in range(39)]
+    elapsed = time.perf_counter() - t0
+    report("exact-pool", elapsed < 2.0,
+           f"39 graphs of n=30 in {elapsed:.2f}s (< 2s), sizes {min(sizes)}-{max(sizes)}")
+
+
 def test_criterion_4_gp4_identities():
     rng = SplitMix64(404)
     for trial in range(50):

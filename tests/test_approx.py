@@ -6,6 +6,7 @@ from semidom.approx import (SetCoverInstance, algo_dom_set, approx_semitotal,
                             build_semitotal_setcover, greedy_dominating_set,
                             greedy_set_cover)
 from semidom.domination import DominationKind, exact_min, verify
+from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_connected_graph, gen_named
 from semidom.graph import Graph
 
@@ -121,9 +122,16 @@ class TestApproxSemitotal:
     def test_p4(self):
         assert approx_semitotal(P4) == (1, 2)
 
-    def test_requires_connected(self):
-        with pytest.raises(ValueError):
-            approx_semitotal(Graph(4, [(0, 1), (2, 3)]))
+    def test_disconnected_graphs(self):
+        two_k2 = Graph(4, [(0, 1), (2, 3)])
+        assert approx_semitotal(two_k2) == (0, 1, 2, 3) == exact_min(two_k2, SEMI)
+        k2_k1 = Graph(3, [(0, 1)])
+        with pytest.raises(InfeasibleError, match="isolated vertex 2"):
+            approx_semitotal(k2_k1)
+        with pytest.raises(InfeasibleError, match="isolated vertex 2"):
+            build_semitotal_setcover(k2_k1, (0, 2))
+        with pytest.raises(ValueError, match="graph is empty"):
+            approx_semitotal(Graph(0))
 
     def test_verified_and_within_ratio_on_seeded_graphs(self):
         rng = SplitMix64(44)

@@ -55,6 +55,26 @@ class TestSolve:
         code, doc = run_cli("solve", "--algo", "exact", "--input", str(f))
         assert code == 3 and doc["kind"] == "infeasible"
 
+    def test_approx_on_disconnected_graph(self, tmp_path):
+        f = tmp_path / "2k2.txt"
+        f.write_text("4 2\n0 1\n2 3\n")
+        code, doc = run_cli("solve", "--algo", "approx", "--input", str(f))
+        assert code == 0 and doc["set"] == [0, 1, 2, 3] and doc["verified"] is True
+        f.write_text("3 1\n0 1\n")
+        code, doc = run_cli("solve", "--algo", "approx", "--input", str(f))
+        assert code == 3 and doc["kind"] == "infeasible"
+
+    def test_exact_node_budget_exits_4(self, tmp_path):
+        f = tmp_path / "g60.txt"
+        run_cli("gen", "--family", "random", "--size", "60", "--p", "0.08",
+                "--seed", "0", "--output", str(f))
+        code, doc = run_cli("solve", "--algo", "exact", "--input", str(f),
+                            "--max-nodes", "1000")
+        assert code == 4 and doc["kind"] == "size-cap" and "1000" in doc["error"]
+        code, doc = run_cli("solve", "--algo", "approx", "--input", str(f),
+                            "--max-nodes", "1000")
+        assert code == 1 and doc["kind"] == "invalid-input"
+
 
 class TestVerify:
     def test_valid_set_exits_0(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semidom.domination import (DominationKind, ViolationReason, exact_min, verify)
-from semidom.errors import InfeasibleError
+from semidom.errors import InfeasibleError, SizeCapError
 from semidom.generators import SplitMix64, gen_connected_graph
 from semidom.graph import Graph
 from semidom.intervals import intersection_graph, model_from_pairs
@@ -56,6 +56,12 @@ class TestVerify:
             verify(P4, (4, 0), TOT)
         with pytest.raises(ValueError, match=r"^vertex 0 out of range for n=0$"):
             verify(Graph(0), (0,), DOM)
+
+    def test_non_integer_member(self):
+        with pytest.raises(ValueError, match=r"^vertex id 1\.0 is not an integer$"):
+            verify(Graph(3), [1.0], DOM)
+        with pytest.raises(ValueError, match=r"^vertex id '2' is not an integer$"):
+            verify(P4, (0, "2", 9), SEMI)
 
     def test_violations_enumerate_every_failure(self):
         report = verify(P5, (2,), SEMI)
@@ -190,6 +196,57 @@ class TestExactMin:
                 for v in s:
                     rest = tuple(w for w in s if w != v)
                     assert not verify(g, rest, kind).valid, (g.sorted_edges(), kind, s, v)
+
+
+def exact_or_error(f):
+    try:
+        return f()
+    except (ValueError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_lex_search(n, edges):
+    g = Graph(n, edges)
+    for kind, name in KINDS:
+        got = exact_or_error(lambda: exact_min(g, kind))
+        want = exact_or_error(lambda: oracles.lex_exact_min(n, edges, name))
+        assert got == want, (n, edges, name)
+
+
+class TestExactSearch:
+    """The two-phase search against the plain lexicographic search in oracles."""
+
+    def test_seeded_graphs_including_disconnected_and_isolated(self):
+        rng = SplitMix64(2024)
+        for _ in range(300):
+            n = rng.randrange(13)
+            p = rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            assert_matches_lex_search(n, edges)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_graphs(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        assert_matches_lex_search(n, [e for e, k in zip(pairs, keep) if k])
+
+    def test_bench_pool_semitotal(self):
+        for s in range(10):
+            g = gen_connected_graph(30, 0.08, s)
+            want = oracles.lex_exact_min(g.n, g.sorted_edges(), "semitotal")
+            assert exact_min(g, SEMI) == want, s
+
+    def test_node_budget(self):
+        g = gen_connected_graph(60, 0.08, 0)
+        with pytest.raises(SizeCapError, match=r"budget of 1000 nodes"):
+            exact_min(g, SEMI, max_nodes=1000)
+        small = gen_connected_graph(12, 0.3, 1)
+        for kind in (DOM, TOT, SEMI):
+            assert exact_min(small, kind, max_nodes=10**6) == exact_min(small, kind)
+        with pytest.raises(ValueError, match="budget"):
+            exact_min(small, SEMI, max_nodes=0)
 
 
 class TestInvariants:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semidom.graph import (Graph, SplitPartition, bfs_distance, connected_components,
-                           is_connected, neighborhood_within)
+from semidom.graph import (Graph, SplitPartition, bfs_distance, check_vertex_set,
+                           connected_components, is_connected, neighborhood_within)
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
                                intersection_graph)
 from semidom.generators import SplitMix64
@@ -54,6 +54,17 @@ class TestGraphConstruction:
         assert g.neighbors(0) == (1, 2, 3)
         for u, v in g.edges:
             assert u in g.neighbors(v) and v in g.neighbors(u)
+
+
+class TestCheckVertexSet:
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(ValueError, match=r"^vertex id 1\.0 is not an integer$"):
+            check_vertex_set(Graph(3), [1.0])
+        # the first non-integer in input order, before any range check
+        with pytest.raises(ValueError, match=r"^vertex id None is not an integer$"):
+            check_vertex_set(P4, [7, None, "a"])
+        with pytest.raises(ValueError, match=r"^vertex 7 out of range for n=4$"):
+            check_vertex_set(P4, [9, 7, 1])
 
 
 class TestBfsDistance:
