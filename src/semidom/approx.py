@@ -1,10 +1,11 @@
 """Greedy approximation for semitotal domination, plus its set-cover plumbing.
 
-The approximation runs in two phases: a classic greedy dominating set, then a
-greedy set cover that buys distance-2 partners for the "lonely" members (those
-with no other member within distance 2). The cover universe is the lonely set
-X and the candidate sets are N_2[u] ∩ X for vertices u outside the dominating
-set, giving a 2 + 3 ln(Δ+1) guarantee overall.
+One greedy set cover runs both phases. The first covers V with closed
+neighborhoods, which gives a dominating set D. The second gives partners to
+the lonely members X (no other member within distance 2, `verify`'s
+NO_PARTNER_WITHIN_2 list) with the sets N_2[u] ∩ X for u outside D, built
+from adjacency lists in O(sum of |N_2[x]| over x in X). Together they give
+a 2 + 3 ln(Δ+1) guarantee.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domination import DominationKind, check_no_isolated, verify
-from .graph import Graph, check_vertex_set, closed_masks, distance2_masks, is_connected
+from .domination import DominationKind, ViolationReason, check_no_isolated, verify
+from .graph import Graph, check_vertex_set, closed_masks, is_connected
 from . import reductions
 
 
@@ -26,25 +27,32 @@ class SetCoverInstance:
     max_set_size: int
 
 
+def _greedy_cover(uncovered: int, family) -> list[int]:
+    """Greedy cover of the `uncovered` bits by (owner, mask) pairs given in
+    ascending owner order: owners in selection order, the most newly covered
+    bits first, the smallest owner on ties. Raises ValueError when no owner
+    covers a bit that is left."""
+    chosen: list[int] = []
+    while uncovered:
+        best, best_mask, best_gain = None, 0, 0
+        for owner, mask in family:
+            gain = (mask & uncovered).bit_count()
+            if gain > best_gain:
+                best, best_mask, best_gain = owner, mask, gain
+        if not best_gain:
+            raise ValueError("family does not cover the universe")
+        chosen.append(best)
+        uncovered ^= uncovered & best_mask
+    return chosen
+
+
 def greedy_dominating_set(g: Graph) -> tuple[int, ...]:
     """Greedy dominating set: repeatedly take the vertex covering the most
     still-undominated closed neighborhoods, smallest id on ties."""
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         raise ValueError("graph is empty")
-    closed = closed_masks(g)
-    full = (1 << n) - 1
-    dominated = 0
-    chosen: list[int] = []
-    while dominated != full:
-        best, best_gain = -1, -1
-        for v in range(n):
-            gain = (closed[v] & ~dominated).bit_count()
-            if gain > best_gain:
-                best, best_gain = v, gain
-        chosen.append(best)
-        dominated |= closed[best]
-    return tuple(sorted(chosen))
+    family = list(enumerate(closed_masks(g)))
+    return tuple(sorted(_greedy_cover((1 << g.n) - 1, family)))
 
 
 def build_semitotal_setcover(g: Graph, d) -> SetCoverInstance:
@@ -54,31 +62,25 @@ def build_semitotal_setcover(g: Graph, d) -> SetCoverInstance:
     InfeasibleError when g has an isolated vertex, which no partner can reach.
     """
     members = check_vertex_set(g, d)
-    if not verify(g, members, DominationKind.DOMINATING).valid:
+    report = verify(g, members, DominationKind.SEMITOTAL)
+    if any(r is ViolationReason.UNDOMINATED for _, r in report.violations):
         raise ValueError("d is not a dominating set")
     if g.n == 0:
         raise ValueError("graph is empty")
     check_no_isolated(g)
-    partner = distance2_masks(g)
-    dmask = 0
-    for v in members:
-        dmask |= 1 << v
-    xmask = 0
-    for v in members:
-        if partner[v] & dmask == 0:
-            xmask |= 1 << v
-    universe = tuple(v for v in members if (xmask >> v) & 1)
-    family = []
-    p = 0
-    for u in range(g.n):
-        if (dmask >> u) & 1:
-            continue
-        s = partner[u] & xmask  # N_2[u] ∩ X; u itself is outside X
-        if s:
-            sv = tuple(v for v in universe if (s >> v) & 1)
-            family.append((u, sv))
-            p = max(p, len(sv))
-    return SetCoverInstance(universe=universe, family=tuple(family), max_set_size=p)
+    universe = tuple(v for v, _ in report.violations)  # all NO_PARTNER_WITHIN_2
+    in_d = set(members)
+    owned: dict[int, list[int]] = {}
+    for x in universe:
+        # with no isolated vertex, the neighbors of N[x] are exactly N_2[x]
+        near: set[int] = set()
+        for w in (x, *g.neighbors(x)):
+            near.update(g.neighbors(w))
+        for u in near - in_d:
+            owned.setdefault(u, []).append(x)
+    family = tuple((u, tuple(xs)) for u, xs in sorted(owned.items()))
+    p = max((len(xs) for _, xs in family), default=0)
+    return SetCoverInstance(universe=universe, family=family, max_set_size=p)
 
 
 def greedy_set_cover(inst: SetCoverInstance) -> list[int]:
@@ -87,21 +89,14 @@ def greedy_set_cover(inst: SetCoverInstance) -> list[int]:
     Largest marginal coverage first, smallest owner id on ties. Raises
     ValueError when the family cannot cover the universe.
     """
-    uncovered = set(inst.universe)
-    chosen: list[int] = []
-    sets = {owner: frozenset(s) for owner, s in inst.family}
-    owners = sorted(sets)
-    while uncovered:
-        best, best_gain = -1, 0
-        for owner in owners:
-            gain = len(sets[owner] & uncovered)
-            if gain > best_gain:
-                best, best_gain = owner, gain
-        if best < 0:
-            raise ValueError("family does not cover the universe")
-        chosen.append(best)
-        uncovered -= sets[best]
-    return chosen
+    bit = {x: 1 << i for i, x in enumerate(dict.fromkeys(inst.universe))}
+    masks = {}
+    for owner, members in inst.family:  # a repeated owner keeps its last set
+        mask = 0
+        for x in members:
+            mask |= bit.get(x, 0)
+        masks[owner] = mask
+    return _greedy_cover((1 << len(bit)) - 1, sorted(masks.items()))
 
 
 def approx_semitotal(g: Graph) -> tuple[int, ...]:

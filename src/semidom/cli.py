@@ -8,6 +8,7 @@ input, 2 verification failure, 3 infeasible instance, 4 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -201,6 +202,8 @@ def _cmd_gen(args) -> tuple[dict, int]:
 def _cmd_bench(args) -> tuple[dict, int]:
     if args.algo != "interval":
         raise ValueError("bench supports --algo interval")
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     results = []
     for n in sizes:
@@ -217,7 +220,10 @@ def _cmd_bench(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call
+    of `main`; parsing keeps no state in it."""
     parser = _Parser(prog="semidom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -56,7 +56,10 @@ def _parse_number(token: str) -> int | Fraction:
     try:
         return int(token)
     except ValueError:
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"endpoint {token!r} has a zero denominator") from None
 
 
 def _format_number(x) -> str:

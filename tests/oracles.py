@@ -192,6 +192,90 @@ def brute_min_cover(universe, family_sets):
     return None
 
 
+def ref_greedy_dominating_set(n, edges):
+    """The mask-rescanning greedy dominating set, the differential reference
+    for `approx.greedy_dominating_set`: each pick is the vertex whose closed
+    neighborhood holds the most undominated vertices, smallest id on ties."""
+    if n == 0:
+        raise ValueError("graph is empty")
+    adj = adjacency(n, edges)
+    closed = [sum(1 << u for u in adj[v]) | 1 << v for v in range(n)]
+    full = (1 << n) - 1
+    dominated = 0
+    chosen = []
+    while dominated != full:
+        best, best_gain = -1, -1
+        for v in range(n):
+            gain = (closed[v] & ~dominated).bit_count()
+            if gain > best_gain:
+                best, best_gain = v, gain
+        chosen.append(best)
+        dominated |= closed[best]
+    return tuple(sorted(chosen))
+
+
+def ref_build_semitotal_setcover(n, edges, d):
+    """The distance-2-mask set-cover build, the differential reference for
+    `approx.build_semitotal_setcover`; returns (universe, family,
+    max_set_size) and raises the same errors, in the same order."""
+    members = list(d)
+    for v in members:
+        if not isinstance(v, int):
+            raise ValueError(f"vertex id {v!r} is not an integer")
+    members = sorted(set(members))
+    for v in members:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+    if violations(n, edges, members, "dominating"):
+        raise ValueError("d is not a dominating set")
+    if n == 0:
+        raise ValueError("graph is empty")
+    adj = adjacency(n, edges)
+    for v in range(n):
+        if not adj[v]:
+            raise InfeasibleError(f"isolated vertex {v}")
+    closed = [sum(1 << u for u in adj[v]) | 1 << v for v in range(n)]
+    partner = []
+    for v in range(n):
+        m = closed[v]
+        for u in adj[v]:
+            m |= closed[u]
+        partner.append(m & ~(1 << v))
+    dmask = sum(1 << v for v in members)
+    xmask = sum(1 << v for v in members if partner[v] & dmask == 0)
+    universe = tuple(v for v in members if (xmask >> v) & 1)
+    family = []
+    for u in range(n):
+        if (dmask >> u) & 1:
+            continue
+        s = partner[u] & xmask
+        if s:
+            family.append((u, tuple(v for v in universe if (s >> v) & 1)))
+    return universe, tuple(family), max((len(s) for _, s in family), default=0)
+
+
+def ref_greedy_set_cover(universe, family):
+    """The frozenset greedy cover, the differential reference for
+    `approx.greedy_set_cover`: largest marginal coverage first, smallest
+    owner on ties; the last set of a repeated owner wins. Owners must be
+    nonnegative, since -1 marks "no pick"."""
+    uncovered = set(universe)
+    chosen = []
+    sets = {owner: frozenset(s) for owner, s in family}
+    owners = sorted(sets)
+    while uncovered:
+        best, best_gain = -1, 0
+        for owner in owners:
+            gain = len(sets[owner] & uncovered)
+            if gain > best_gain:
+                best, best_gain = owner, gain
+        if best < 0:
+            raise ValueError("family does not cover the universe")
+        chosen.append(best)
+        uncovered -= sets[best]
+    return chosen
+
+
 def brute_min_vertex_cover_size(n, edges):
     if not edges:
         return 0

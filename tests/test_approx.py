@@ -1,6 +1,10 @@
+import itertools
 import math
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semidom.approx import (SetCoverInstance, algo_dom_set, approx_semitotal,
                             build_semitotal_setcover, greedy_dominating_set,
@@ -171,3 +175,117 @@ class TestAlgoDomSet:
             g = gen_connected_graph(n, 0.3, rng.next_u64())
             for k in (1, 2):
                 assert verify(g, algo_dom_set(g, k), DOM).valid
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(n, edges, d):
+    """Both greedy phases, the set-cover build and the whole approximation
+    agree with the mask-based reference in tests/oracles.py, errors included."""
+    g = Graph(n, edges)
+    want_d = outcome(oracles.ref_greedy_dominating_set, n, edges)
+    assert outcome(greedy_dominating_set, g) == want_d
+    got = outcome(build_semitotal_setcover, g, d)
+    if got[0] == "ok":
+        inst = got[1]
+        got = "ok", (inst.universe, inst.family, inst.max_set_size)
+    want = outcome(oracles.ref_build_semitotal_setcover, n, edges, d)
+    assert got == want
+    if got[0] == "ok":
+        universe, family, _ = want[1]
+        assert (outcome(greedy_set_cover, inst)
+                == outcome(oracles.ref_greedy_set_cover, universe, family))
+    if want_d[0] == "ok":
+        dom = want_d[1]
+        build = outcome(oracles.ref_build_semitotal_setcover, n, edges, dom)
+        if build[0] == "ok":
+            t = oracles.ref_greedy_set_cover(*build[1][:2])
+            build = "ok", tuple(sorted(set(dom) | set(t)))
+        assert outcome(approx_semitotal, g) == build
+
+
+def assert_cover_matches_reference(universe, family):
+    inst = SetCoverInstance(universe=tuple(universe), family=tuple(family),
+                            max_set_size=max((len(s) for _, s in family), default=0))
+    assert (outcome(greedy_set_cover, inst)
+            == outcome(oracles.ref_greedy_set_cover, universe, family))
+
+
+class TestAgainstReference:
+    """The greedy of both phases against the parent's mask-based code."""
+
+    def test_seeded_graphs_and_sets(self):
+        rng = SplitMix64(606)
+        for _ in range(1500):
+            n = rng.randrange(14)  # n = 0, isolated vertices, several components
+            p = rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p]
+            d = [v for v in range(n) if rng.random() < rng.random()]
+            mode = rng.randrange(5)
+            if mode == 0 and n:
+                d = list(oracles.ref_greedy_dominating_set(n, edges))
+            elif mode == 1:
+                d.append(n + rng.randrange(3) if rng.randrange(2) else -1)
+            elif mode == 2:
+                d.insert(rng.randrange(len(d) + 1), ("1", 1.0, None)[rng.randrange(3)])
+            assert_matches_reference(n, edges, d)
+
+    def test_seeded_cover_instances(self):
+        rng = SplitMix64(607)
+        pool = [0, 1, 2, 3, 4, 5, "a", "b", (1, 2)]
+        for _ in range(1500):
+            universe = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(7))]
+            family = []
+            for _ in range(rng.randrange(7)):
+                owner = rng.randrange(6)  # repeats: the last set wins
+                size = rng.randrange(5)
+                members = tuple(pool[rng.randrange(len(pool))] for _ in range(size))
+                family.append((owner, members))  # members may lie outside
+            if rng.randrange(3):  # singletons keep most instances coverable
+                family += [(6 + i, (x,)) for i, x in enumerate(universe)]
+            assert_cover_matches_reference(universe, family)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_graphs_and_sets(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        d = data.draw(st.lists(st.one_of(st.integers(-1, n + 1), st.sampled_from(["0", 2.0])),
+                               max_size=n + 2))
+        assert_matches_reference(n, [e for e, k in zip(pairs, keep) if k], d)
+
+    @given(st.lists(st.integers(0, 8), max_size=8),
+           st.lists(st.tuples(st.integers(0, 6), st.lists(st.integers(0, 10), max_size=6)),
+                    max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_cover_instances(self, universe, family):
+        assert_cover_matches_reference(universe, [(o, tuple(s)) for o, s in family])
+
+    def test_negative_owner_is_picked(self):
+        # the reference's -1 "no pick" sentinel made such an owner raise
+        inst = SetCoverInstance(universe=(0,), family=((-2, (0,)),), max_set_size=1)
+        assert greedy_set_cover(inst) == [-2]
+
+
+def test_setcover_build_scales_on_long_path():
+    g = gen_named("path", 12000)
+    d = tuple(range(1, 12000, 3))  # every member lonely
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        inst = build_semitotal_setcover(g, d)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.universe) == 4000
+    assert elapsed < 2.0, elapsed
+    assert peak < 8 * 2**20, peak

@@ -2,6 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from semidom import cli
+from semidom.formats import write_edgelist
+from semidom.generators import gen_connected_graph
+
 SOLVE_KEYS = {"algorithm", "n", "m", "size", "set", "verified", "elapsedMs", "extra"}
 
 
@@ -168,6 +174,19 @@ class TestBenchAndErrors:
         assert [row["n"] for row in doc["results"]] == [50, 100]
         assert all(row["elapsedMs"] >= 0 for row in doc["results"])
 
+    def test_bench_rejects_zero_repeats(self):
+        code, doc = run_cli("bench", "--sizes", "50", "--repeats", "0")
+        assert code == 1 and doc["kind"] == "invalid-input"
+        assert "--repeats" in doc["error"]
+
+    def test_zero_denominator_endpoint_exits_1(self, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("2\n0 1/0\n1 3\n")
+        code, doc = run_cli("solve", "--algo", "interval", "--format", "intervals",
+                            "--input", str(f))
+        assert code == 1 and doc["kind"] == "invalid-input"
+        assert "'1/0'" in doc["error"]
+
     def test_unknown_flag_exits_1(self):
         proc = subprocess.run([sys.executable, "-m", "semidom", "solve",
                                "--nonsense"], capture_output=True, text=True)
@@ -182,3 +201,20 @@ class TestBenchAndErrors:
         f.write_text("2 1\n1 0\n")  # edges must be u < v
         code, doc = run_cli("solve", "--algo", "exact", "--input", str(f))
         assert code == 1
+
+
+class TestInProcess:
+    def test_parser_built_once_without_state_between_calls(self, tmp_path, capsys):
+        f = tmp_path / "g.txt"
+        f.write_text(write_edgelist(gen_connected_graph(12, 0.3, 0)))
+        solve = ["solve", "--algo", "exact", "--input", str(f)]
+        cli.build_parser.cache_clear()
+        assert cli.main(solve + ["--max-nodes", "1"]) == 4
+        assert json.loads(capsys.readouterr().out)["kind"] == "size-cap"
+        assert cli.main(solve) == 0  # the budget of the last call is gone
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+        for argv, code in ((["solve", "--nonsense"], 1), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == code
+        assert cli.build_parser.cache_info().misses == 1

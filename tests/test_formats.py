@@ -48,6 +48,10 @@ class TestIntervals:
         with pytest.raises(ValueError):
             parse_intervals("1\n2 2\n")
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="'1/0'"):
+            parse_intervals("1\n1/0 2\n")
+
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             parse_intervals("3\n0 1\n2 3\n")
