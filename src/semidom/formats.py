@@ -2,8 +2,9 @@
 
 All formats are line-based; blank lines and lines starting with `#` are
 ignored. Edge lists start with `n m` followed by m lines `u v` (0-based,
-u < v). Interval files start with `n` followed by n lines `a b` with decimal
-endpoints. Vertex-set files are whitespace-separated ids. Partition files
+u < v). Interval files start with `n` followed by n lines `a b`; endpoints
+are integers, decimals or `p/q` fractions, and are written as integers or
+exact `p/q`. Vertex-set files are whitespace-separated ids. Partition files
 hold two labelled lines, `clique ...ids` and `independent ...ids`.
 """
 
@@ -52,22 +53,36 @@ def write_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest decimal exponent magnitude accepted in an endpoint. Fraction
+# expands the exponent into an exact integer, so it bounds the work of one
+# token; 4300 is CPython's default limit on digits in int conversion.
+_MAX_EXPONENT = 4300
+
+
 def _parse_number(token: str) -> int | Fraction:
     try:
         return int(token)
     except ValueError:
-        try:
-            return Fraction(token)
-        except ZeroDivisionError:
-            raise ValueError(f"endpoint {token!r} has a zero denominator") from None
+        pass
+    _, marker, exponent = token.upper().rpartition("E")
+    try:
+        too_large = bool(marker) and abs(int(exponent)) > _MAX_EXPONENT
+    except ValueError:  # not an exponent; Fraction judges the token
+        too_large = False
+    if too_large:
+        raise ValueError(f"endpoint {token!r} has an exponent beyond "
+                         f"{_MAX_EXPONENT} in magnitude")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"endpoint {token!r} has a zero denominator") from None
 
 
 def _format_number(x) -> str:
+    """An endpoint as an integer or an exact `p/q` that parses back equal."""
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(float(x))
+    return str(Fraction(x))
 
 
 def parse_intervals(text: str) -> IntervalModel:

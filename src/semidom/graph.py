@@ -7,41 +7,58 @@ construction; all functions here are pure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+    """Immutable undirected simple graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_adj")
+    The sorted adjacency rows are the only stored form of the graph. They
+    are built in one pass over the edges, in O(n + m log Δ) time; the edge
+    set is built from them on first access of `edges` and then kept.
+    """
+
+    __slots__ = ("n", "m", "_adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        seen: set[tuple[int, int]] = set()
+        if iter(edges) is edges:  # one-shot: keep it, an error rescans it
+            edges = list(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (u < v and type(e) is tuple):  # store plain, normalized tuples
-                e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
+        try:
+            for u, v in edges:
+                if not (0 <= u < v < n or 0 <= v < u < n):
+                    raise ValueError
+                adj[u].append(v)
+                adj[v].append(u)
+        except (TypeError, ValueError):
+            # the failing edge is the first one not yet in both of its rows
+            _raise_first_bad_edge(n, edges, sum(map(len, adj)) // 2 + 1)
+            raise
+        for v, row in enumerate(adj):
+            row.sort()
+            adj[v] = tuple(row)
+        entries = sum(map(len, adj))
+        if sum(map(len, map(set, adj))) < entries:  # a row repeats a neighbour
+            _raise_first_bad_edge(n, edges)
+            v = next(v for v, row in enumerate(adj) if len(set(row)) < len(row))
+            raise ValueError(f"duplicate edge at vertex {v}")
         self.n = n
-        self.edges = frozenset(seen)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self.m = entries // 2
+        self._adj = tuple(adj)
+        self._edges: frozenset[tuple[int, int]] | None = None
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as a plain tuple (u, v) with u < v."""
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.check_vertex(v)
@@ -55,26 +72,49 @@ class Graph:
         return max((len(a) for a in self._adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self.edges
+        if not 0 <= u < self.n:
+            return False
+        row = self._adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u, row in enumerate(self._adj)
+                for v in row[bisect_right(row, u):]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _raise_first_bad_edge(n: int, edges: Iterable, limit: int | None = None) -> None:
+    """Raise the error of the first bad edge among the first `limit` edges.
+
+    Each edge is judged in input order by range, then self-loop, then
+    duplicate, so the error is the one an edge-by-edge check would raise.
+    Returns when those edges hold none of these faults.
+    """
+    seen = set()
+    for u, v in islice(edges, limit):
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
 
 
 def check_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:

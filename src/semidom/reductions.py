@@ -150,7 +150,7 @@ def build_gadget(g: Graph, kind: GadgetKind,
     """Construct the gadget graph H of the given kind from g."""
     _require_connected(g)
     n = g.n
-    edges = sorted(g.edges)
+    edges = g.sorted_edges()
     layout = _LAYOUT.get(kind)
     if layout is None:
         raise ValueError(f"unknown gadget kind: {kind}")
@@ -249,7 +249,7 @@ def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
 
 def min_vertex_cover(g: Graph) -> tuple[int, ...]:
     """Exhaustive minimum vertex cover (lexicographically smallest optimum)."""
-    edges = sorted(g.edges)
+    edges = g.sorted_edges()
     if not edges:
         return ()
     for size in range(1, g.n + 1):

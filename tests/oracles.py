@@ -324,3 +324,31 @@ def brute_overlap_arcs(intervals):
                                 for h in range(total))
                     arcs[(i, j)] = "A2_MARKED" if spans else "A2_UNMARKED"
     return verts, arcs
+
+
+def ref_graph(n, edges):
+    """The edge-by-edge `Graph` constructor, the differential reference for
+    `graph.Graph`: returns (m, edge set, sorted adjacency rows) or raises.
+
+    Each edge is unpacked, range-checked, loop-checked and normalized to a
+    plain (min, max) tuple, then looked up in the set of edges seen so far,
+    so the error is always that of the first bad edge in input order.
+    """
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (u < v and type(e) is tuple):
+            e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    return len(seen), frozenset(seen), tuple(tuple(sorted(a)) for a in adj)

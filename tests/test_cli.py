@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -218,3 +219,14 @@ class TestInProcess:
                 cli.main(argv)
             assert exc.value.code == code
         assert cli.build_parser.cache_info().misses == 1
+
+    def test_huge_exponent_endpoint_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text("2\n0 1e4000000\n1 3\n")
+        t0 = time.perf_counter()
+        code = cli.main(["solve", "--algo", "interval", "--format", "intervals",
+                         "--input", str(f)])
+        assert time.perf_counter() - t0 < 0.5
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["kind"] == "invalid-input"
+        assert "'1e4000000'" in doc["error"]

@@ -1,3 +1,5 @@
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from semidom.formats import (parse_edgelist, parse_intervals, parse_partition,
                              parse_vertex_set, write_edgelist, write_intervals,
                              write_partition)
 from semidom.graph import Graph, SplitPartition
-from semidom.intervals import IntervalModel
+from semidom.intervals import IntervalModel, intersection_graph
 
 
 class TestEdgelist:
@@ -43,6 +45,28 @@ class TestIntervals:
     def test_decimals_parse_exactly(self):
         m = parse_intervals("2\n0.5 2.5\n1 4\n")
         assert m.intervals == ((Fraction(1, 2), Fraction(5, 2)), (1, 4))
+        m = parse_intervals("2\n-1.5e-2 1e3\n2.5 4\n")
+        assert m.intervals == ((Fraction(-3, 200), 1000), (Fraction(5, 2), 4))
+
+    def test_round_trip_is_exact_for_fractions_and_floats(self):
+        tiny = Fraction(1, 10**20)
+        third = Fraction(1, 3)
+        for m in (IntervalModel(((third, third + tiny),)),
+                  IntervalModel(((0, third), (third + tiny, 1))),
+                  IntervalModel(((0.1, 2.0), (Fraction(7, 2), 5)))):
+            text = write_intervals(m)
+            back = parse_intervals(text)
+            assert back.intervals == tuple((Fraction(a), Fraction(b))
+                                           for a, b in m.intervals), text
+            assert intersection_graph(back) == intersection_graph(m)
+        assert write_intervals(IntervalModel(((0, Fraction(4, 2)), (1, 7)))) == "2\n0 2\n1 7\n"
+
+    def test_huge_exponent_rejected_fast(self):
+        for token in ("1e4000000", "1E-4000000", "2.5e+4301"):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=re.escape(repr(token))):
+                parse_intervals(f"1\n0 {token}\n")
+            assert time.perf_counter() - t0 < 0.5
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 
@@ -11,6 +13,8 @@ from semidom.graph import (Graph, SplitPartition, bfs_distance, check_vertex_set
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
                                intersection_graph)
 from semidom.generators import SplitMix64
+
+import oracles
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -54,6 +58,140 @@ class TestGraphConstruction:
         assert g.neighbors(0) == (1, 2, 3)
         for u, v in g.edges:
             assert u in g.neighbors(v) and v in g.neighbors(u)
+
+
+Edge = namedtuple("Edge", "u v")
+
+
+def _outcome(build):
+    """("ok", value) or ("error", exception type, message)."""
+    try:
+        return ("ok", build())
+    except (TypeError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _same_as_reference(n, make_edges):
+    """Graph(n, make_edges()) agrees with the edge-by-edge reference on
+    every field, query and error; make_edges returns a fresh input."""
+    ref = _outcome(lambda: oracles.ref_graph(n, make_edges()))
+    got = _outcome(lambda: Graph(n, make_edges()))
+    if ref[0] == "error":
+        assert got == ref
+        return
+    assert got[0] == "ok", got
+    m, edges, rows = ref[1]
+    g = got[1]
+    assert (g.n, g.m) == (n, m)
+    assert g.edges == edges
+    assert ({(e, type(e), type(e[0]), type(e[1])) for e in g.edges}
+            == {(e, type(e), type(e[0]), type(e[1])) for e in edges})
+    assert g.sorted_edges() == sorted(edges)
+    assert [g.neighbors(v) for v in range(n)] == list(rows)
+    assert [g.degree(v) for v in range(n)] == [len(r) for r in rows]
+    for u, v in itertools.product(range(-1, n + 1), repeat=2):
+        assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+    twin = Graph(n, sorted(edges, reverse=True))
+    assert g == twin and hash(g) == hash(twin)
+    assert g != Graph(n + 1, edges)
+    if edges:
+        fewer = Graph(n, sorted(edges)[1:])
+        assert g != fewer and fewer != g
+
+
+def _random_edge_input(rng):
+    """(n, make_edges) with mixed edge shapes, containers and faults."""
+    n = rng.randrange(8)
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    items = [(v, u) if rng.random() < 0.3 else (u, v)
+             for u, v in pairs[:rng.randrange(len(pairs) + 1)]]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        w = rng.randrange(max(n, 1))
+        fault = rng.choice(("loop", "range", "dup", "short", "long"))
+        if fault == "loop":
+            bad = (w, w)
+        elif fault == "range":
+            bad = (rng.choice((-1, n, n + 1)), w)[::rng.choice((1, -1))]
+        elif fault == "short":
+            bad = (w,)
+        elif fault == "long" or not items:
+            bad = (w, w + 1, 0)
+        else:  # a repeat of an earlier or later edge, maybe reversed
+            bad = rng.choice(items)[::rng.choice((1, -1))]
+        items.insert(rng.randrange(len(items) + 1), bad)
+    shapes = [rng.choice((tuple, list, Edge._make)) if len(e) == 2 else tuple
+              for e in items]
+    container = rng.choice(("list", "tuple", "generator"))
+
+    def make_edges():
+        out = [shape(e) for shape, e in zip(shapes, items)]
+        if container == "tuple":
+            return tuple(out)
+        return iter(out) if container == "generator" else out
+    return n, make_edges
+
+
+class TestGraphAgainstReference:
+    def test_seeded_inputs(self):
+        rng = random.Random(20171)
+        for _ in range(3000):
+            _same_as_reference(*_random_edge_input(rng))
+
+    def test_named_cases(self):
+        cases = [
+            (0, []),
+            (0, [(0, 1)]),
+            (3, [[1, 0], Edge(2, 1)]),
+            (4, [(0, 1), (0, 1), (9, 9)]),    # duplicate before a range fault
+            (4, [(0, 1), (1, 0), (2,)]),      # duplicate before a short edge
+            (4, [(0, 1), [1, 0], (1, 2, 3)]),  # duplicate before a long edge
+            (4, [(2,), (0, 1), (0, 1)]),      # short edge before a duplicate
+            (4, [(3, 3), (0, 1), (0, 1)]),    # self-loop before a duplicate
+            (4, [(0, 1), (1, 2), 5]),         # an edge that is not a pair
+            (4, [(0, 4)]),
+            (4, [(-1, 2)]),
+            (4, [Edge(3, 2), Edge(2, 3)]),
+        ]
+        for n, edges in cases:
+            _same_as_reference(n, lambda: list(edges))
+            _same_as_reference(n, lambda: (e for e in edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6),
+           st.lists(st.one_of(st.tuples(st.integers(-1, 7), st.integers(-1, 7)),
+                              st.lists(st.integers(-1, 7), min_size=1, max_size=3),
+                              st.integers(0, 3)),
+                    max_size=12),
+           st.booleans())
+    def test_hypothesis_inputs(self, n, items, one_shot):
+        _same_as_reference(n, lambda: iter(items) if one_shot else list(items))
+
+    def test_inconsistent_second_pass_still_raises(self):
+        class Flaky:  # repeats an edge only on the first full pass
+            repeated = False
+
+            def __iter__(self):
+                yield (0, 1)
+                if not self.repeated:
+                    self.repeated = True
+                    yield (1, 0)
+        with pytest.raises(ValueError, match=r"^duplicate edge at vertex 0$"):
+            Graph(2, Flaky())
+
+
+def test_complete_graph_construction_memory():
+    n = 600
+    edges = list(itertools.combinations(range(n), 2))
+    tracemalloc.start()
+    try:
+        g = Graph(n, edges)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    assert retained < 5 * 2**20, retained
+    assert g.m == len(edges) and g.edges == set(edges)
 
 
 class TestCheckVertexSet:
