@@ -5,10 +5,10 @@ total dominating set gives every vertex (members included) a neighbor in the
 set; a semitotal dominating set is a dominating set in which every member has
 another member within distance 2.
 
-The exact oracle first finds the optimum size with a most-constrained
-branching search, then fixes the lexicographically smallest optimal set one
-member at a time with the same search (self-reduction), so it is fully
-deterministic. `tests/oracles.py` keeps a plain lexicographic search as the
+The exact oracle searches each connected component on its own. It first
+finds the optimum size with a most-constrained branching search, then fixes
+the lexicographically smallest optimal set one member at a time with the
+same search (self-reduction), so it is fully deterministic. `tests/oracles.py` keeps a plain lexicographic search as the
 differential reference.
 """
 
@@ -18,7 +18,8 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, SizeCapError
-from .graph import Graph, check_vertex_set, closed_masks, distance2_masks, open_masks
+from .graph import (Graph, check_vertex_set, closed_masks, connected_components,
+                    distance2_masks, open_masks)
 
 
 class DominationKind(enum.Enum):
@@ -78,10 +79,17 @@ def exact_min(g: Graph, kind: DominationKind,
               max_nodes: int | None = None) -> tuple[int, ...]:
     """Minimum set of the given kind, lexicographically smallest among optima.
 
-    Both phases run one bounded search, feasible(r, chosen, dominated,
-    lonely, allowed), which returns a valid set that adds at most r members
-    of `allowed` to `chosen`, or 0 when none exists. Lonely members
-    (SEMITOTAL only) are members with no other member within distance 2.
+    Each connected component is searched on its own, relabelled in
+    increasing id order, and the answer is the sorted union of the
+    components' answers. That union is the whole graph's answer: for two
+    optima the smallest id in their symmetric difference decides the order,
+    and it lies inside one component.
+
+    Within a component both phases run one bounded search, feasible(r,
+    chosen, dominated, lonely, allowed), which returns a valid set that adds
+    at most r members of `allowed` to `chosen`, or 0 when none exists.
+    Lonely members (SEMITOTAL only) are members with no other member within
+    distance 2.
 
     - It branches on the most constrained item, an undominated vertex or a
       lonely member with the fewest candidates left in `allowed`. Each
@@ -89,11 +97,12 @@ def exact_min(g: Graph, kind: DominationKind,
       branches are disjoint; the one dominating most new vertices goes
       first, smallest id on ties.
     - Items left with a single candidate take it at once.
-    - It prunes by three lower bounds: a packing of undominated vertices
-      with pairwise disjoint candidate sets; for SEMITOTAL, a coverage bound
-      (a new member with no member within distance 2 shares a vertex it
-      dominates with another new member); and the number of lonely members
-      one new member can pair.
+    - It prunes by three lower bounds: a packing of items (undominated
+      vertices, then lonely members) with pairwise disjoint candidate sets,
+      each of which needs its own new member; for SEMITOTAL, a coverage
+      bound (a new member with no member within distance 2 shares a vertex
+      it dominates with another new member); and the number of lonely
+      members one new member can pair.
 
     1. Size: k* is the smallest k for which the search from the empty set
        succeeds; its answer is a first optimum.
@@ -105,23 +114,43 @@ def exact_min(g: Graph, kind: DominationKind,
        pair every lonely member.
 
     Raises ValueError for an empty graph, InfeasibleError when an isolated
-    vertex makes TOTAL/SEMITOTAL impossible, and SizeCapError once the two
-    phases together visit more than max_nodes search nodes (default:
-    unbounded).
+    vertex makes TOTAL/SEMITOTAL impossible, and SizeCapError once the
+    searches of all components together visit more than max_nodes search
+    nodes (default: unbounded).
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         raise ValueError("graph is empty")
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"node budget must be positive, got {max_nodes}")
     if kind is not DominationKind.DOMINATING:
         check_no_isolated(g)
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return _search(g, kind, max_nodes, 0)[0]
+    members: list[int] = []
+    nodes = 0
+    pos = [0] * g.n
+    for comp in comps:
+        for i, v in enumerate(comp):
+            pos[v] = i
+        sub = Graph(len(comp), [(pos[u], pos[v]) for u in comp
+                                for v in g.neighbors(u) if u < v])
+        found, nodes = _search(sub, kind, max_nodes, nodes)
+        members += [comp[i] for i in found]
+    return tuple(sorted(members))
 
+
+def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
+            nodes: int) -> tuple[tuple[int, ...], int]:
+    """exact_min on a graph with no isolated vertex unless kind is
+    DOMINATING, counting on from `nodes` spent nodes; returns the answer and
+    the nodes spent so far."""
+    n = g.n
     cover = open_masks(g) if kind is DominationKind.TOTAL else closed_masks(g)
     semitotal = kind is DominationKind.SEMITOTAL
     partner = distance2_masks(g) if semitotal else None
     full = (1 << n) - 1
-    nodes = need = 0
+    need = 0
     # the packing scans vertices by the size of their closed neighborhood,
     # smallest (leaves) first, and so packs more sets; for TOTAL, plain id
     # order packed more on GP4 gadgets
@@ -151,8 +180,9 @@ def exact_min(g: Graph, kind: DominationKind,
             return chosen
         if r == 0:
             return 0
-        # most constrained item, and a packing of undominated vertices whose
-        # remaining candidate sets are pairwise disjoint
+        # most constrained item, and a packing of items whose remaining
+        # candidate sets are pairwise disjoint: undominated vertices here,
+        # lonely members below
         best, fewest = 0, n + 1
         forced = 0
         packed = used = reach = 0
@@ -209,7 +239,12 @@ def exact_min(g: Graph, kind: DominationKind,
                     best, fewest = cands, c
                 if c == 1:
                     forced |= cands
+                if not cands & used:  # the packing goes on over lonely members
+                    packed += 1
+                    used |= cands
                 reach |= cands
+            if packed > r:
+                return 0
             # each new member pairs at most `most` lonely members
             most = 0
             while reach:
@@ -277,4 +312,4 @@ def exact_min(g: Graph, kind: DominationKind,
         chosen |= nxt
         dominated |= cover[u]
         start = u + 1
-    return tuple(v for v in range(n) if chosen >> v & 1)
+    return tuple(v for v in range(n) if chosen >> v & 1), nodes

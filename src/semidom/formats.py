@@ -1,8 +1,8 @@
 """Text file formats: edge lists, interval models, vertex sets, partitions.
 
 All formats are line-based; blank lines and lines starting with `#` are
-ignored. Edge lists start with `n m` followed by m lines `u v` (0-based,
-u < v). Interval files start with `n` followed by n lines `a b`; endpoints
+ignored. Edge lists start with `n m`, n at most 10^6, followed by m lines
+`u v` (0-based, u < v). Interval files start with `n` followed by n lines `a b`; endpoints
 are integers, decimals or `p/q` fractions, and are written as integers or
 exact `p/q`. Vertex-set files are whitespace-separated ids. Partition files
 hold two labelled lines, `clique ...ids` and `independent ...ids`.
@@ -14,6 +14,17 @@ from fractions import Fraction
 
 from .graph import Graph, SplitPartition
 from .intervals import IntervalModel
+
+
+# Largest vertex count an edge-list header may declare. The graph holds
+# one adjacency row per vertex before any edge is read, so this bounds the
+# memory a header alone can ask for.
+_MAX_VERTICES = 10**6
+
+# Largest decimal exponent magnitude accepted in an endpoint. Fraction
+# expands the exponent into an exact integer, so it bounds the work of one
+# token; 4300 is CPython's default limit on digits in int conversion.
+_MAX_EXPONENT = 4300
 
 
 def _data_lines(text: str) -> list[list[str]]:
@@ -34,6 +45,9 @@ def parse_edgelist(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"expected header 'n m', got {' '.join(head)!r}")
     n, m = int(head[0]), int(head[1])
+    if n > _MAX_VERTICES:
+        raise ValueError(f"edge list declares {n} vertices, more than the "
+                         f"limit of {_MAX_VERTICES}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -53,10 +67,6 @@ def write_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Largest decimal exponent magnitude accepted in an endpoint. Fraction
-# expands the exponent into an exact integer, so it bounds the work of one
-# token; 4300 is CPython's default limit on digits in int conversion.
-_MAX_EXPONENT = 4300
 
 
 def _parse_number(token: str) -> int | Fraction:

@@ -51,7 +51,11 @@ class SplitMix64:
 
 
 def gen_connected_graph(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi style graph, patched to connectivity with random bridges."""
+    """Erdos-Renyi style graph, patched to connectivity with random bridges.
+
+    The bridges are drawn in one sweep over the components of the random
+    draw, so the graph is built at most twice.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
     if not 0.0 <= p <= 1.0:
@@ -64,13 +68,17 @@ def gen_connected_graph(n: int, p: float, seed: int) -> Graph:
                 edges.add((u, v))
     g = Graph(n, sorted(edges))
     comps = connected_components(g)
-    while len(comps) > 1:
-        a = comps[0][rng.randrange(len(comps[0]))]
-        b = comps[1][rng.randrange(len(comps[1]))]
+    if len(comps) == 1:
+        return g
+    # each bridge joins the component holding vertex 0, grown so far and
+    # kept sorted, to the component with the next smallest first member
+    merged = comps[0]
+    for comp in comps[1:]:
+        a = merged[rng.randrange(len(merged))]
+        b = comp[rng.randrange(len(comp))]
         edges.add((min(a, b), max(a, b)))
-        g = Graph(n, sorted(edges))
-        comps = connected_components(g)
-    return g
+        merged = sorted(merged + comp)
+    return Graph(n, sorted(edges))
 
 
 def gen_interval_model(n: int, seed: int) -> IntervalModel:

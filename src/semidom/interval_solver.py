@@ -170,7 +170,11 @@ def _digraph_arrays(m: IntervalModel):
 
 
 def build_overlap_digraph(m: IntervalModel) -> OverlapDigraph:
-    """Construct the overlap digraph of a canonical, connected model."""
+    """Construct the overlap digraph of a canonical, connected model.
+
+    A test reference, off every solve path: `solve_interval` relaxes the
+    same arcs in a linear window without building this digraph.
+    """
     ivs, avals, bvals, verts, fs, gs = _digraph_arrays(m)
     arcs: list[tuple[int, int, ArcClass]] = []
     for x, i in enumerate(verts):
@@ -188,7 +192,10 @@ def build_overlap_digraph(m: IntervalModel) -> OverlapDigraph:
 
 
 def build_split_digraph(d: OverlapDigraph) -> SplitDigraph:
-    """Apply the vertex-splitting rules that encode the marked-arc constraint."""
+    """Apply the vertex-splitting rules that encode the marked-arc constraint.
+
+    A test reference, off every solve path, like `build_overlap_digraph`.
+    """
     n = d.n
     sink = n + 1
     inner = [i for i in d.vertices if i != 0 and i != sink]
@@ -215,7 +222,8 @@ def shortest_constrained_path(dprime: SplitDigraph) -> tuple[int, ...]:
 
     Relaxation follows the topological node order (interval index ascending,
     in-node before out-node); among equal-length predecessors the smallest
-    node in that order wins, so the result is deterministic.
+    node in that order wins, so the result is deterministic. A test
+    reference, off every solve path, like `build_overlap_digraph`.
     """
     out: dict[Node, list[tuple[Node, int]]] = {node: [] for node in dprime.nodes}
     for src, dst, w in dprime.arcs:

@@ -9,6 +9,7 @@ import itertools
 from collections import deque
 
 from semidom.errors import InfeasibleError
+from semidom.generators import SplitMix64
 
 INF = float("inf")
 
@@ -352,3 +353,37 @@ def ref_graph(n, edges):
         adj[u].append(v)
         adj[v].append(u)
     return len(seen), frozenset(seen), tuple(tuple(sorted(a)) for a in adj)
+
+
+def ref_gen_connected_graph(n, p, seed):
+    """The bridge-at-a-time connectivity patch, the differential reference
+    for `generators.gen_connected_graph`; returns the sorted edge list.
+
+    The same SplitMix64 stream draws the random edges; then, while the graph
+    is disconnected, one bridge joins a random vertex of the component of
+    vertex 0 to a random vertex of the component with the next smallest
+    first member, and the components are recomputed from scratch.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability out of range: {p}")
+    rng = SplitMix64(seed)
+    edges = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.add((u, v))
+    while True:
+        adj = adjacency(n, edges)
+        comps, seen = [], set()
+        for v in range(n):
+            if v not in seen:
+                comp = sorted(bfs_all(adj, v))
+                seen.update(comp)
+                comps.append(comp)
+        if len(comps) == 1:
+            return sorted(edges)
+        a = comps[0][rng.randrange(len(comps[0]))]
+        b = comps[1][rng.randrange(len(comps[1]))]
+        edges.add((min(a, b), max(a, b)))

@@ -220,6 +220,16 @@ class TestInProcess:
             assert exc.value.code == code
         assert cli.build_parser.cache_info().misses == 1
 
+    def test_huge_vertex_count_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "g.txt"
+        f.write_text("2000000 0\n")  # just past the limit, so a failure stays cheap
+        t0 = time.perf_counter()
+        code = cli.main(["solve", "--algo", "exact", "--input", str(f)])
+        assert time.perf_counter() - t0 < 0.5
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["kind"] == "invalid-input"
+        assert "limit of 1000000" in doc["error"]
+
     def test_huge_exponent_endpoint_exits_1(self, tmp_path, capsys):
         f = tmp_path / "m.txt"
         f.write_text("2\n0 1e4000000\n1 3\n")

@@ -238,6 +238,59 @@ class TestExactSearch:
             want = oracles.lex_exact_min(g.n, g.sorted_edges(), "semitotal")
             assert exact_min(g, SEMI) == want, s
 
+    def test_interleaved_disjoint_unions_and_isolated_vertices(self):
+        # 2-3 random graphs whose ids interleave, so each component is
+        # relabelled by a monotone map that is not a shift; some parts are
+        # single vertices, isolated in the union
+        rng = SplitMix64(808)
+        isolated = 0
+        for _ in range(250):
+            n = 2 + rng.randrange(11)
+            parts = 2 + rng.randrange(2)
+            label = [rng.randrange(parts) for _ in range(n)]
+            p = rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if label[u] == label[v] and rng.random() < p]
+            isolated += any(not any(v in e for e in edges) for v in range(n))
+            assert_matches_lex_search(n, edges)
+        assert isolated > 50
+
+    def test_bench_pool_node_count(self):
+        # the lonely members' candidate sets join the packing bound; without
+        # them the pool needs up to 1,237 nodes (s = 15), with them 724
+        for s in range(39):
+            g = gen_connected_graph(30, 0.08, s)
+            assert len(exact_min(g, SEMI, max_nodes=800)) >= 2, s
+
+    def test_components_are_searched_one_at_a_time(self):
+        # searched as one instance, this 90-vertex union passes 10^5 nodes
+        graphs = [gen_connected_graph(30, 0.08, s) for s in range(3)]
+        edges = [(u + 30 * i, v + 30 * i)
+                 for i, g in enumerate(graphs) for u, v in g.sorted_edges()]
+        want = tuple(v + 30 * i for i, g in enumerate(graphs)
+                     for v in oracles.lex_exact_min(30, g.sorted_edges(), "semitotal"))
+        assert exact_min(Graph(90, edges), SEMI, max_nodes=20_000) == want
+
+    def test_one_node_budget_across_components(self):
+        def least_budget(g):
+            lo, hi = 1, 10_000  # smallest budget under which g solves
+            while lo < hi:
+                mid = (lo + hi) // 2
+                try:
+                    exact_min(g, SEMI, max_nodes=mid)
+                    hi = mid
+                except SizeCapError:
+                    lo = mid + 1
+            return lo
+
+        a, b = gen_connected_graph(12, 0.3, 4), gen_connected_graph(9, 0.3, 5)
+        union = Graph(21, a.sorted_edges() + [(u + 12, v + 12) for u, v in b.sorted_edges()])
+        need = least_budget(a) + least_budget(b)
+        assert least_budget(union) == need
+        with pytest.raises(SizeCapError,
+                           match=rf"^exact search exceeded its budget of {need - 1} nodes$"):
+            exact_min(union, SEMI, max_nodes=need - 1)
+
     def test_node_budget(self):
         g = gen_connected_graph(60, 0.08, 0)
         with pytest.raises(SizeCapError, match=r"budget of 1000 nodes"):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from semidom import formats
 from semidom.formats import (parse_edgelist, parse_intervals, parse_partition,
                              parse_vertex_set, write_edgelist, write_intervals,
                              write_partition)
@@ -35,6 +36,19 @@ class TestEdgelist:
     def test_empty_file(self):
         with pytest.raises(ValueError):
             parse_edgelist("# nothing\n")
+
+    def test_vertex_count_limit(self, monkeypatch):
+        # headers just past the limit: without it each would still cost
+        # 0.7 s or more and 64 MB or more, so the test stays cheap if it fails
+        for header in ("1000001 0", "2000000 0", "1000001 1\n0 1"):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=r"more than the limit of 1000000$"):
+                parse_edgelist(header + "\n")
+            assert time.perf_counter() - t0 < 0.5
+        monkeypatch.setattr(formats, "_MAX_VERTICES", 10)
+        assert parse_edgelist("10 1\n0 9\n") == Graph(10, [(0, 9)])
+        with pytest.raises(ValueError, match=r"^edge list declares 11 vertices"):
+            parse_edgelist("11 0\n")
 
 
 class TestIntervals:

@@ -1,8 +1,10 @@
 import pytest
 
+import oracles
+from semidom import generators
 from semidom.generators import (SplitMix64, gen_connected_graph,
                                 gen_interval_model, gen_named, gen_split_graph)
-from semidom.graph import is_connected
+from semidom.graph import Graph, is_connected
 from semidom.intervals import intersection_graph
 from semidom.reductions import GadgetKind, build_gadget
 
@@ -58,6 +60,27 @@ class TestGenConnectedGraph:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             gen_connected_graph(3, 1.5, 0)
+
+    def test_matches_bridge_at_a_time_reference(self):
+        for n in (1, 2, 3, 5, 8, 13, 40):
+            for p in (0.0, 0.02, 0.1, 0.3, 1.0):
+                for seed in range(4):
+                    got = gen_connected_graph(n, p, seed).sorted_edges()
+                    assert got == oracles.ref_gen_connected_graph(n, p, seed), (n, p, seed)
+
+    def test_builds_the_graph_at_most_twice(self, monkeypatch):
+        built = []
+
+        def counting_graph(*args):
+            built.append(args[0])
+            return Graph(*args)
+
+        monkeypatch.setattr(generators, "Graph", counting_graph)
+        g = gen_connected_graph(200, 0.002, 0)  # 159 components as drawn
+        assert is_connected(g) and built == [200, 200]
+        built.clear()
+        gen_connected_graph(20, 1.0, 0)  # connected as drawn
+        assert built == [20]
 
 
 class TestGenIntervalModel:
