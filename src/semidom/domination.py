@@ -21,6 +21,10 @@ from .errors import InfeasibleError, SizeCapError
 from .graph import (Graph, check_vertex_set, closed_masks, connected_components,
                     distance2_masks, open_masks)
 
+# The search recurses once per member it adds, so a component whose optimum
+# is larger than this would run into Python's recursion limit.
+_MAX_MEMBERS = 500
+
 
 class DominationKind(enum.Enum):
     DOMINATING = "dominating"
@@ -116,7 +120,8 @@ def exact_min(g: Graph, kind: DominationKind,
     Raises ValueError for an empty graph, InfeasibleError when an isolated
     vertex makes TOTAL/SEMITOTAL impossible, and SizeCapError once the
     searches of all components together visit more than max_nodes search
-    nodes (default: unbounded).
+    nodes (default: unbounded) or a component needs more than
+    _MAX_MEMBERS (500) members.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
@@ -133,8 +138,8 @@ def exact_min(g: Graph, kind: DominationKind,
     for comp in comps:
         for i, v in enumerate(comp):
             pos[v] = i
-        sub = Graph(len(comp), [(pos[u], pos[v]) for u in comp
-                                for v in g.neighbors(u) if u < v])
+        # comp is sorted, so the relabelling keeps every row sorted
+        sub = Graph(len(comp), _rows=[[pos[v] for v in g.neighbors(u)] for u in comp])
         found, nodes = _search(sub, kind, max_nodes, nodes)
         members += [comp[i] for i in found]
     return tuple(sorted(members))
@@ -288,6 +293,9 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
     k = 2 if semitotal else 1
     while not (best := feasible(k, 0, 0, 0, full)):
         k = max(k + 1, need)
+        if k > _MAX_MEMBERS:
+            raise SizeCapError(f"exact search needs more than {_MAX_MEMBERS} "
+                               "members in one component")
 
     # `best` is an optimum whose i smallest members are `chosen`; position
     # i takes its next member unless a smaller u also completes to size k

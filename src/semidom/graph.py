@@ -20,37 +20,22 @@ class Graph:
     The sorted adjacency rows are the only stored form of the graph. They
     are built in one pass over the edges, in O(n + m log Δ) time; the edge
     set is built from them on first access of `edges` and then kept.
+    Builders inside the package that already hold sorted, simple rows hand
+    them over as `_rows`, a list of n rows that becomes the graph's own,
+    with no check.
     """
 
     __slots__ = ("n", "m", "_adj", "_edges")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
-        if iter(edges) is edges:  # one-shot: keep it, an error rescans it
-            edges = list(edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        try:
-            for u, v in edges:
-                if not (0 <= u < v < n or 0 <= v < u < n):
-                    raise ValueError
-                adj[u].append(v)
-                adj[v].append(u)
-        except (TypeError, ValueError):
-            # the failing edge is the first one not yet in both of its rows
-            _raise_first_bad_edge(n, edges, sum(map(len, adj)) // 2 + 1)
-            raise
-        for v, row in enumerate(adj):
-            row.sort()
-            adj[v] = tuple(row)
-        entries = sum(map(len, adj))
-        if sum(map(len, map(set, adj))) < entries:  # a row repeats a neighbour
-            _raise_first_bad_edge(n, edges)
-            v = next(v for v, row in enumerate(adj) if len(set(row)) < len(row))
-            raise ValueError(f"duplicate edge at vertex {v}")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), *,
+                 _rows: list | None = None):
+        if _rows is None:
+            _rows = _checked_rows(n, edges)
+        for v, row in enumerate(_rows):  # each list is freed once copied
+            _rows[v] = tuple(row)
         self.n = n
-        self.m = entries // 2
-        self._adj = tuple(adj)
+        self.m = sum(map(len, _rows)) // 2
+        self._adj = tuple(_rows)
         self._edges: frozenset[tuple[int, int]] | None = None
 
     @property
@@ -96,6 +81,33 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _checked_rows(n: int, edges: Iterable) -> list[list[int]]:
+    """The sorted adjacency rows of n vertices and the given edges, or the
+    ValueError of the first bad edge in input order."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if iter(edges) is edges:  # one-shot: keep it, an error rescans it
+        edges = list(edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            if not (0 <= u < v < n or 0 <= v < u < n):
+                raise ValueError
+            adj[u].append(v)
+            adj[v].append(u)
+    except (TypeError, ValueError):
+        # the failing edge is the first one not yet in both of its rows
+        _raise_first_bad_edge(n, edges, sum(map(len, adj)) // 2 + 1)
+        raise
+    for row in adj:
+        row.sort()
+    if sum(map(len, map(set, adj))) < sum(map(len, adj)):  # a repeated neighbour
+        _raise_first_bad_edge(n, edges)
+        v = next(v for v, row in enumerate(adj) if len(set(row)) < len(row))
+        raise ValueError(f"duplicate edge at vertex {v}")
+    return adj
 
 
 def _raise_first_bad_edge(n: int, edges: Iterable, limit: int | None = None) -> None:

@@ -122,18 +122,12 @@ def _digraph_arrays(m: IntervalModel):
     (so an A2 arc (i, j) exists iff b_i < a_j < fs[i]) and gs[i] is the
     greatest right endpoint among intervals starting left of b_i (the arc is
     marked iff a_j < gs[i]). Thresholds range over all of I', so contained
-    intervals count as gap and marking witnesses.
+    intervals count as gap and marking witnesses. The model must be
+    canonical and connected, with at least two intervals and no interval
+    containing all others; `build_overlap_digraph` checks this, and
+    `solve_interval` splits and checks the components before calling it.
     """
-    if not m.canonical:
-        raise ValueError("model must be canonical")
     n = m.n
-    if n < 2:
-        raise ValueError("need at least two intervals")
-    if contains_all(m) is not None:
-        raise ValueError("an interval contains all others")
-    if len(_component_slices(m.intervals)) != 1:
-        raise ValueError("intersection graph is not connected")
-
     lo = m.intervals[0][0]
     hi = max(b for _, b in m.intervals)
     ivs: list[tuple[int, int]] = [(lo - 3, lo - 2)]
@@ -175,6 +169,14 @@ def build_overlap_digraph(m: IntervalModel) -> OverlapDigraph:
     A test reference, off every solve path: `solve_interval` relaxes the
     same arcs in a linear window without building this digraph.
     """
+    if not m.canonical:
+        raise ValueError("model must be canonical")
+    if m.n < 2:
+        raise ValueError("need at least two intervals")
+    if contains_all(m) is not None:
+        raise ValueError("an interval contains all others")
+    if len(_component_slices(m.intervals)) != 1:
+        raise ValueError("intersection graph is not connected")
     ivs, avals, bvals, verts, fs, gs = _digraph_arrays(m)
     arcs: list[tuple[int, int, ArcClass]] = []
     for x, i in enumerate(verts):

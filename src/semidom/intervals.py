@@ -43,16 +43,25 @@ class IntervalModel:
 
 
 def intersection_graph(m: IntervalModel) -> Graph:
-    """Graph on interval ids with edges between intersecting intervals."""
-    edges = []
+    """Graph on interval ids with edges between intersecting intervals.
+
+    One pass over all pairs in O(n^2 + m), writing each edge into both
+    adjacency rows. Row j gets its smaller neighbours while earlier rows are
+    scanned, then its larger ones in its own scan, so every row comes out
+    sorted and `Graph` takes the rows as they are.
+    """
     ivs = m.intervals
-    for i in range(len(ivs)):
+    n = len(ivs)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
         ai, bi = ivs[i]
-        for j in range(i + 1, len(ivs)):
+        row = rows[i]
+        for j in range(i + 1, n):
             aj, bj = ivs[j]
             if ai <= bj and aj <= bi:
-                edges.append((i, j))
-    return Graph(len(ivs), edges)
+                row.append(j)
+                rows[j].append(i)
+    return Graph(n, _rows=rows)
 
 
 def canonicalize_intervals(m: IntervalModel) -> IntervalModel:

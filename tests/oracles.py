@@ -10,6 +10,7 @@ from collections import deque
 
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64
+from semidom.graph import Graph
 
 INF = float("inf")
 
@@ -353,6 +354,22 @@ def ref_graph(n, edges):
         adj[u].append(v)
         adj[v].append(u)
     return len(seen), frozenset(seen), tuple(tuple(sorted(a)) for a in adj)
+
+
+def ref_intersection_graph(m):
+    """The pairwise edge-list builder, the differential reference for
+    `intervals.intersection_graph`: every intersecting pair of intervals
+    becomes an edge tuple, and the validating `Graph(n, edges)` builds the
+    graph from them."""
+    edges = []
+    ivs = m.intervals
+    for i in range(len(ivs)):
+        ai, bi = ivs[i]
+        for j in range(i + 1, len(ivs)):
+            aj, bj = ivs[j]
+            if ai <= bj and aj <= bi:
+                edges.append((i, j))
+    return Graph(len(ivs), edges)
 
 
 def ref_gen_connected_graph(n, p, seed):

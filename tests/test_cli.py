@@ -1,20 +1,29 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import semidom
 from semidom import cli
 from semidom.formats import write_edgelist
-from semidom.generators import gen_connected_graph
+from semidom.generators import gen_connected_graph, gen_named
 
 SOLVE_KEYS = {"algorithm", "n", "m", "size", "set", "verified", "elapsedMs", "extra"}
 
 
+# the child process imports the same semidom as this one, installed or not
+SRC = str(Path(semidom.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "semidom", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=CHILD_ENV)
     doc = json.loads(proc.stdout) if proc.stdout.strip() else None
     return proc.returncode, doc
 
@@ -190,7 +199,8 @@ class TestBenchAndErrors:
 
     def test_unknown_flag_exits_1(self):
         proc = subprocess.run([sys.executable, "-m", "semidom", "solve",
-                               "--nonsense"], capture_output=True, text=True)
+                               "--nonsense"], capture_output=True, text=True,
+                              env=CHILD_ENV)
         assert proc.returncode == 1
 
     def test_missing_file_exits_1(self):
@@ -240,3 +250,12 @@ class TestInProcess:
         doc = json.loads(capsys.readouterr().out)
         assert code == 1 and doc["kind"] == "invalid-input"
         assert "'1e4000000'" in doc["error"]
+
+    def test_exact_member_cap_exits_4(self, tmp_path, capsys):
+        f = tmp_path / "path.txt"
+        f.write_text(write_edgelist(gen_named("path", 3100)))
+        t0 = time.perf_counter()
+        assert cli.main(["solve", "--algo", "exact", "--input", str(f)]) == 4
+        assert time.perf_counter() - t0 < 10
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "size-cap" and "members" in doc["error"]

@@ -4,9 +4,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semidom.domination import (DominationKind, ViolationReason, exact_min, verify)
+from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
+                                exact_min, verify)
 from semidom.errors import InfeasibleError, SizeCapError
-from semidom.generators import SplitMix64, gen_connected_graph
+from semidom.generators import SplitMix64, gen_connected_graph, gen_named
 from semidom.graph import Graph
 from semidom.intervals import intersection_graph, model_from_pairs
 from semidom.reductions import GadgetKind, build_gadget
@@ -290,6 +291,18 @@ class TestExactSearch:
         with pytest.raises(SizeCapError,
                            match=rf"^exact search exceeded its budget of {need - 1} nodes$"):
             exact_min(union, SEMI, max_nodes=need - 1)
+
+    def test_member_cap(self):
+        # the search recurses once per member, so a larger optimum is refused
+        # before the recursion limit is reached
+        long_path = gen_named("path", 3100)
+        for kind in (DOM, TOT, SEMI):
+            with pytest.raises(SizeCapError, match=rf"^exact search needs more than "
+                               rf"{_MAX_MEMBERS} members in one component$"):
+                exact_min(long_path, kind)
+        # P_3k has one minimum dominating set, the middle of each triple
+        at_cap = gen_named("path", 3 * _MAX_MEMBERS)
+        assert exact_min(at_cap, DOM) == tuple(range(1, 3 * _MAX_MEMBERS, 3))
 
     def test_node_budget(self):
         g = gen_connected_graph(60, 0.08, 0)

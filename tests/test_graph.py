@@ -12,7 +12,7 @@ from semidom.graph import (Graph, SplitPartition, bfs_distance, check_vertex_set
                            connected_components, is_connected, neighborhood_within)
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
                                intersection_graph)
-from semidom.generators import SplitMix64
+from semidom.generators import SplitMix64, gen_interval_model
 
 import oracles
 
@@ -192,6 +192,80 @@ def test_complete_graph_construction_memory():
     assert peak < 10 * 2**20, peak
     assert retained < 5 * 2**20, retained
     assert g.m == len(edges) and g.edges == set(edges)
+
+
+def _same_intersection_graph(m):
+    """intersection_graph(m) equals the edge-list reference in every field,
+    row and query."""
+    ref = oracles.ref_intersection_graph(m)
+    g = intersection_graph(m)
+    n = m.n
+    assert g == ref and hash(g) == hash(ref)
+    assert (g.n, g.m) == (ref.n, ref.m) == (n, len(ref.edges))
+    assert g.edges == ref.edges
+    assert g.sorted_edges() == ref.sorted_edges()
+    for v in range(n):
+        row = g.neighbors(v)
+        assert type(row) is tuple and row == ref.neighbors(v)
+    for u, v in itertools.product(range(-1, n + 1), repeat=2):
+        assert g.has_edge(u, v) == ref.has_edge(u, v)
+    return g
+
+
+@st.composite
+def interval_models(draw):
+    """Unsorted intervals on a small grid, so touching endpoints, identical
+    and nested intervals are common; runs far apart make several components.
+    Endpoints are ints, Fractions or floats."""
+    scale = draw(st.sampled_from([int, lambda x: Fraction(x, 3), lambda x: x / 4]))
+    pairs = []
+    for run in range(draw(st.integers(1, 3))):
+        a = 100 * run
+        for _ in range(draw(st.integers(0, 10))):
+            a += draw(st.integers(0, 2))
+            pairs.append((scale(a), scale(a + draw(st.integers(1, 7)))))
+    return IntervalModel(tuple(draw(st.permutations(pairs))))
+
+
+class TestIntersectionGraphAgainstReference:
+    def test_named_models(self):
+        cases = {
+            "empty": [],
+            "single": [(0, 1)],
+            "touching": [(0, 1), (1, 2), (2, 3)],
+            "identical": [(0, 2), (0, 2), (0, 2)],
+            "nested": [(0, 10), (2, 3), (4, 5), (2, 9)],
+            "fractions": [(Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), 1)],
+            "floats": [(0.5, 1.5), (1.5, 2.25), (2.5, 3.0)],
+            "unsorted": [(7, 9), (0, 3), (5, 8), (2, 6)],
+            "components": [(20, 21), (0, 2), (10, 12), (1, 3), (11, 13)],
+        }
+        edge_counts = {name: _same_intersection_graph(IntervalModel(tuple(pairs))).m
+                       for name, pairs in cases.items()}
+        assert edge_counts == {"empty": 0, "single": 0, "touching": 2, "identical": 3,
+                               "nested": 5, "fractions": 1, "floats": 1,
+                               "unsorted": 3, "components": 2}
+
+    def test_seeded_models(self):
+        for n in range(1, 41):
+            _same_intersection_graph(gen_interval_model(n, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(interval_models())
+    def test_hypothesis_models(self, m):
+        _same_intersection_graph(m)
+
+
+def test_intersection_graph_construction_memory():
+    m = gen_interval_model(500, 3)
+    tracemalloc.start()
+    try:
+        g = intersection_graph(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+    assert g == oracles.ref_intersection_graph(m)
 
 
 class TestCheckVertexSet:

@@ -324,10 +324,10 @@ class TestSolveInterval:
             else:
                 m = canon(bounded_length_pairs(n, rng))
             try:
-                _, avals, _, verts, fs, gs = _digraph_arrays(m)
+                d = build_overlap_digraph(m)
             except ValueError:  # container or disconnected model
                 continue
-            d = build_overlap_digraph(m)
+            _, avals, _, verts, fs, gs = _digraph_arrays(m)
             assert (_window_constrained_path(avals, verts, fs, gs)
                     == shortest_constrained_path(build_split_digraph(d)))
             checked += 1
