@@ -23,7 +23,7 @@ from .formats import (parse_edgelist, parse_intervals, parse_partition,
 from .generators import (NAMED_FAMILIES, gen_connected_graph, gen_interval_model,
                          gen_named, gen_split_graph)
 from .graph import Graph
-from .intervals import IntervalModel, intersection_graph
+from .intervals import IntervalModel, intersection_edge_count, intersection_graph
 from .interval_solver import solve_interval
 from .reductions import GadgetKind, build_gadget, check_reduction
 
@@ -168,7 +168,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
     if args.family == "intervals":
         model = gen_interval_model(args.size, args.seed)
         out.write_text(write_intervals(model), encoding="utf-8")
-        doc_n, doc_m = model.n, intersection_graph(model).m
+        doc_n, doc_m = model.n, intersection_edge_count(model)
     elif args.family == "random":
         g = gen_connected_graph(args.size, args.p, args.seed)
         out.write_text(write_edgelist(g), encoding="utf-8")

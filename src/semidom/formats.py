@@ -130,20 +130,18 @@ def write_vertex_set(members) -> str:
 
 
 def parse_partition(text: str) -> SplitPartition:
-    clique: list[int] | None = None
-    indep: list[int] | None = None
+    found: dict[str, list[int]] = {}
     for parts in _data_lines(text):
         label, ids = parts[0].lower(), [int(tok) for tok in parts[1:]]
-        if label == "clique":
-            clique = ids
-        elif label == "independent":
-            indep = ids
-        else:
+        if label not in ("clique", "independent"):
             raise ValueError(f"unknown partition label: {label!r}")
-    if clique is None:
+        if label in found:
+            raise ValueError(f"partition file repeats the {label!r} line")
+        found[label] = ids
+    if "clique" not in found:
         raise ValueError("partition file is missing the 'clique' line")
-    return SplitPartition(clique=tuple(sorted(clique)),
-                          independent=tuple(sorted(indep or [])))
+    return SplitPartition(clique=tuple(sorted(found["clique"])),
+                          independent=tuple(sorted(found.get("independent", []))))
 
 
 def write_partition(part: SplitPartition) -> str:

@@ -7,11 +7,29 @@ machine and Python version. Golden tests pin the outputs.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from itertools import compress
+
 from .graph import Graph, SplitPartition, connected_components
 from .intervals import IntervalModel, canonicalize_intervals
 from . import reductions
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# The bulk draws run _LANES draws side by side, one per 128-bit lane of a
+# Python int: a 64-bit value, its product with a 64-bit constant and a carry
+# into bit 64 all fit in a lane, so one big-integer operation applies each
+# step of the SplitMix64 mix to every lane. The constants have closed forms
+# in the lane radix x = 2**128, built with shifts and two exact divisions.
+_LANES = 256
+_ONES = ((1 << 128 * _LANES) - 1) // ((1 << 128) - 1)  # 1 in every lane
+_LANE_MASK = _ONES * _MASK64  # the low 64 bits of every lane
+# lane i holds (i + 1) * gamma: sum (i+1) x^i = (L x^(L+1) - (L+1) x^L + 1) / (x-1)^2
+_RAMP = (((_LANES << 128 * (_LANES + 1)) - ((_LANES + 1) << 128 * _LANES) + 1)
+         // ((1 << 128) - 1) ** 2 * _GAMMA)
+_NO_CARRY = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 NAMED_FAMILIES = ("path", "cycle", "star", "complete", "gp4")
 
@@ -25,7 +43,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -49,6 +67,34 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
+    def _draws_below(self, count: int, p: float | Fraction) -> list[int]:
+        """The indices k < count for which the k-th call of `random()` would
+        return a value `< p`, in increasing order; the stream then stands
+        where `count` such calls leave it.
+
+        random() is (u >> 11) / 2**53 for the draw u, so random() < p exactly
+        when u < T = ceil(p * 2**53) << 11, with p taken exactly as a
+        Fraction. A lane holding u + 2**64 - T carries into bit 64 exactly
+        when u >= T.
+        """
+        limit = math.ceil(Fraction(p) * (1 << 53)) << 11
+        offset = _ONES * ((1 << 64) - limit)
+        state = self._state
+        hits: list[int] = []
+        for base in range(0, count, _LANES):
+            z = (_ONES * state + _RAMP) & _LANE_MASK
+            z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+            z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+            # z >> 31 leaves the next lane's low bits in bits 97-127 of each
+            # lane, above the carry byte that is read, so no mask is needed
+            z = (z ^ (z >> 31)) + offset
+            # byte 16i of z >> 64 is lane i's carry: 1 when the draw misses
+            carries = (z >> 64).to_bytes(16 * _LANES, "little")[::16]
+            hits += compress(range(base, count), carries.translate(_NO_CARRY))
+            state = (state + _LANES * _GAMMA) & _MASK64
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return hits
+
 
 def gen_connected_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi style graph, patched to connectivity with random bridges.
@@ -61,12 +107,16 @@ def gen_connected_graph(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability out of range: {p}")
     rng = SplitMix64(seed)
-    edges = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.add((u, v))
-    g = Graph(n, sorted(edges))
+    # one draw per pair (u, v), u < v, in row-major order; row u's pairs
+    # have the indices below row_end that the earlier rows do not take
+    edges = []
+    u, row_end = 0, n - 1
+    for k in rng._draws_below(n * (n - 1) // 2, p):
+        while k >= row_end:
+            u += 1
+            row_end += n - 1 - u
+        edges.append((u, k - row_end + n))
+    g = Graph(n, edges)
     comps = connected_components(g)
     if len(comps) == 1:
         return g
@@ -76,7 +126,7 @@ def gen_connected_graph(n: int, p: float, seed: int) -> Graph:
     for comp in comps[1:]:
         a = merged[rng.randrange(len(merged))]
         b = comp[rng.randrange(len(comp))]
-        edges.add((min(a, b), max(a, b)))
+        edges.append((min(a, b), max(a, b)))
         merged = sorted(merged + comp)
     return Graph(n, sorted(edges))
 
@@ -109,17 +159,16 @@ def gen_split_graph(p_clique: int, q_ind: int, density: float,
         raise ValueError(f"density out of range: {density}")
     rng = SplitMix64(seed)
     n = p_clique + q_ind
-    edges = set()
-    for u in range(p_clique):
-        for v in range(u + 1, p_clique):
-            edges.add((u, v))
+    edges = [(u, v) for u in range(p_clique) for v in range(u + 1, p_clique)]
+    # one draw per pair (u, w), in order of w and then of u
+    attached = set()
+    for k in rng._draws_below(p_clique * q_ind, density):
+        w, u = divmod(k, p_clique)
+        edges.append((u, p_clique + w))
+        attached.add(p_clique + w)
     for w in range(p_clique, n):
-        for u in range(p_clique):
-            if rng.random() < density:
-                edges.add((u, w))
-    for w in range(p_clique, n):
-        if not any((u, w) in edges for u in range(p_clique)):
-            edges.add((rng.randrange(p_clique), w))
+        if w not in attached:
+            edges.append((rng.randrange(p_clique), w))
     g = Graph(n, sorted(edges))
     part = SplitPartition(clique=tuple(range(p_clique)),
                           independent=tuple(range(p_clique, n)))

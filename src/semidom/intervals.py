@@ -9,6 +9,7 @@ graph, and sorts the intervals by left endpoint.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -62,6 +63,20 @@ def intersection_graph(m: IntervalModel) -> Graph:
                 row.append(j)
                 rows[j].append(i)
     return Graph(n, _rows=rows)
+
+
+def intersection_edge_count(m: IntervalModel) -> int:
+    """The number of edges of `intersection_graph(m)`, in O(n log n) time
+    and O(n) memory, without building the graph.
+
+    Two closed intervals miss each other exactly when one ends before the
+    other starts, and at most one of the two can. So each missing pair is
+    counted once, by interval i, as a left endpoint greater than b_i.
+    """
+    n = m.n
+    lefts = sorted(a for a, _ in m.intervals)
+    missing = sum(n - bisect_right(lefts, b) for _, b in m.intervals)
+    return n * (n - 1) // 2 - missing
 
 
 def canonicalize_intervals(m: IntervalModel) -> IntervalModel:

@@ -404,3 +404,34 @@ def ref_gen_connected_graph(n, p, seed):
         a = comps[0][rng.randrange(len(comps[0]))]
         b = comps[1][rng.randrange(len(comps[1]))]
         edges.add((min(a, b), max(a, b)))
+
+
+def ref_gen_split_graph(p_clique, q_ind, density, seed):
+    """The draw-at-a-time split generator, the differential reference for
+    `generators.gen_split_graph`; returns the sorted edge list.
+
+    One scalar `random()` per (clique, independent) pair, in order of the
+    independent vertex and then of the clique vertex; then every
+    independent vertex left without a neighbour is attached to a random
+    clique vertex.
+    """
+    if p_clique < 1:
+        raise ValueError("clique part must be nonempty")
+    if q_ind < 0:
+        raise ValueError("independent part size must be nonnegative")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density out of range: {density}")
+    rng = SplitMix64(seed)
+    n = p_clique + q_ind
+    edges = set()
+    for u in range(p_clique):
+        for v in range(u + 1, p_clique):
+            edges.add((u, v))
+    for w in range(p_clique, n):
+        for u in range(p_clique):
+            if rng.random() < density:
+                edges.add((u, w))
+    for w in range(p_clique, n):
+        if not any((u, w) in edges for u in range(p_clique)):
+            edges.add((rng.randrange(p_clique), w))
+    return sorted(edges)

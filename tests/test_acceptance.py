@@ -126,6 +126,15 @@ def test_criterion_3_chain_budget():
     report(3, elapsed < 5.0, f"chain n={n} in {elapsed:.2f}s (< 5s), |S|={len(s)}")
 
 
+def test_sparse_generator_budget():
+    # n(n-1)/2 = 4.5M seeded draws for the large sparse graphs of aim 1
+    t0 = time.perf_counter()
+    g = gen_connected_graph(3000, 1 / 3000, 0)
+    elapsed = time.perf_counter() - t0
+    report("generator", elapsed < 2.5 and is_connected(g),
+           f"gen_connected_graph(3000, 1/3000) in {elapsed:.2f}s (< 2.5s), m={g.m}")
+
+
 def test_exact_oracle_pool_budget():
     # the 39 graphs of the benchmark's graph-exact pool, solved in one budget
     t0 = time.perf_counter()

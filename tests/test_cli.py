@@ -10,7 +10,8 @@ import pytest
 import semidom
 from semidom import cli
 from semidom.formats import write_edgelist
-from semidom.generators import gen_connected_graph, gen_named
+from semidom.generators import gen_connected_graph, gen_interval_model, gen_named
+from semidom.intervals import intersection_graph
 
 SOLVE_KEYS = {"algorithm", "n", "m", "size", "set", "verified", "elapsedMs", "extra"}
 
@@ -259,3 +260,26 @@ class TestInProcess:
         assert time.perf_counter() - t0 < 10
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "size-cap" and "members" in doc["error"]
+
+    def test_repeated_partition_label_exits_1(self, tmp_path, capsys):
+        g, p = tmp_path / "s.txt", tmp_path / "s.partition"
+        g.write_text("4 3\n0 1\n0 2\n1 3\n")
+        # the last two lines alone are a valid partition of this graph
+        p.write_text("clique 3\nclique 0 1\nindependent 2 3\n")
+        code = cli.main(["reduce", "--kind", "split", "--input", str(g),
+                         "--partition", str(p), "--output", str(tmp_path / "h.txt")])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["kind"] == "invalid-input"
+        assert "'clique'" in doc["error"]
+
+    def test_gen_intervals_counts_m_without_the_graph(self, tmp_path, capsys, monkeypatch):
+        expected = intersection_graph(gen_interval_model(300, 4)).m
+
+        def no_graph(model):
+            raise AssertionError("gen built the intersection graph")
+
+        monkeypatch.setattr(cli, "intersection_graph", no_graph)
+        code = cli.main(["gen", "--family", "intervals", "--size", "300", "--seed", "4",
+                         "--output", str(tmp_path / "m.txt")])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and (doc["n"], doc["m"]) == (300, expected)

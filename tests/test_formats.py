@@ -114,3 +114,10 @@ class TestVertexSetAndPartition:
     def test_partition_requires_clique_line(self):
         with pytest.raises(ValueError):
             parse_partition("independent 0\n")
+
+    def test_partition_repeated_label(self):
+        with pytest.raises(ValueError, match="repeats the 'clique' line"):
+            parse_partition("clique 0 1\nclique 2\nindependent 3\n")
+        # labels are case-insensitive, so these two lines repeat one label
+        with pytest.raises(ValueError, match="repeats the 'independent' line"):
+            parse_partition("clique 0\nindependent 1\nIndependent 2\n")

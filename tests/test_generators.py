@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 import oracles
@@ -30,6 +33,38 @@ class TestSplitMix64:
         got = rng.sample_without_replacement(20, 8)
         assert len(set(got)) == 8
         assert all(0 <= x < 20 for x in got)
+
+
+class TestBulkDraws:
+    """`SplitMix64._draws_below` against the scalar stream it replaces."""
+
+    SEEDS = (0, 1, 2**63, 2**64 - 1)  # the last wraps the state at once
+    L = generators._LANES
+    COUNTS = (0, 1, L - 1, L, L + 1, 3001)
+    # 0.5 * 2**53 is an integer; ints and Fractions are taken exactly
+    PROBABILITIES = (0.0, 1.0, 0.5, 3 / 800, 1e-300, Fraction(1, 3), 0, 1, Fraction(7, 9))
+
+    def test_matches_scalar_draws(self):
+        for seed in self.SEEDS:
+            for count in self.COUNTS:
+                for p in self.PROBABILITIES:
+                    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+                    got = bulk._draws_below(count, p)
+                    assert got == [k for k in range(count) if scalar.random() < p], \
+                        (seed, count, p)
+                    assert bulk.next_u64() == scalar.next_u64(), (seed, count, p)
+
+    def test_p_next_to_a_drawn_value(self):
+        # a draw is a hit for any p above it, however close, and for no p at
+        # or below it, so ceil(p * 2**53) must round exactly
+        rng = SplitMix64(3)
+        draws = [rng.random() for _ in range(600)]
+        tiny = Fraction(1, 2**80)
+        for k in (0, 255, 256, 599):
+            x = draws[k]
+            for p in (x, math.nextafter(x, 1.0), Fraction(x) + tiny, Fraction(x) - tiny):
+                assert SplitMix64(3)._draws_below(600, p) == [
+                    j for j, y in enumerate(draws) if y < p], (k, p)
 
 
 class TestGenConnectedGraph:
@@ -125,6 +160,16 @@ class TestGenSplitGraph:
         g, part = gen_split_graph(3, 0, 0.5, 0)
         assert g.m == 3
         assert part.independent == ()
+
+    def test_matches_draw_at_a_time_reference(self):
+        for p in (1, 2, 3, 7):
+            for q in (0, 1, 2, 5, 30):
+                for density in (0.0, 0.05, 0.5, 1.0):
+                    for seed in range(4):
+                        g, part = gen_split_graph(p, q, density, seed)
+                        assert g.sorted_edges() == oracles.ref_gen_split_graph(
+                            p, q, density, seed), (p, q, density, seed)
+                        assert part.clique == tuple(range(p))
 
     def test_partition_always_valid_and_no_isolates(self):
         rng = SplitMix64(5)

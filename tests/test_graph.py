@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from semidom.graph import (Graph, SplitPartition, bfs_distance, check_vertex_set,
                            connected_components, is_connected, neighborhood_within)
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
-                               intersection_graph)
+                               intersection_edge_count, intersection_graph)
 from semidom.generators import SplitMix64, gen_interval_model
 
 import oracles
@@ -209,6 +209,7 @@ def _same_intersection_graph(m):
         assert type(row) is tuple and row == ref.neighbors(v)
     for u, v in itertools.product(range(-1, n + 1), repeat=2):
         assert g.has_edge(u, v) == ref.has_edge(u, v)
+    assert intersection_edge_count(m) == ref.m
     return g
 
 
@@ -224,6 +225,24 @@ def interval_models(draw):
         for _ in range(draw(st.integers(0, 10))):
             a += draw(st.integers(0, 2))
             pairs.append((scale(a), scale(a + draw(st.integers(1, 7)))))
+    return IntervalModel(tuple(draw(st.permutations(pairs))))
+
+
+@st.composite
+def mixed_interval_models(draw):
+    """Like `interval_models`, but every endpoint, a multiple of 1/4, picks
+    its own type, so one model compares ints, Fractions and floats."""
+    def endpoint(quarters):
+        forms = [Fraction(quarters, 4), quarters / 4]
+        if quarters % 4 == 0:
+            forms.append(quarters // 4)
+        return draw(st.sampled_from(forms))
+
+    pairs = []
+    a = 0
+    for _ in range(draw(st.integers(0, 14))):
+        a += draw(st.integers(0, 6))
+        pairs.append((endpoint(a), endpoint(a + draw(st.integers(1, 24)))))
     return IntervalModel(tuple(draw(st.permutations(pairs))))
 
 
@@ -254,6 +273,22 @@ class TestIntersectionGraphAgainstReference:
     @given(interval_models())
     def test_hypothesis_models(self, m):
         _same_intersection_graph(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_interval_models())
+    def test_edge_count_on_mixed_endpoint_types(self, m):
+        assert intersection_edge_count(m) == oracles.ref_intersection_graph(m).m
+
+    def test_edge_count_without_the_graph(self):
+        m = gen_interval_model(2000, 0)
+        tracemalloc.start()
+        try:
+            count = intersection_edge_count(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert count == 1_339_007
 
 
 def test_intersection_graph_construction_memory():
