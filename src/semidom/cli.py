@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve, verify, reduce, check-reduction, gen, bench. Every run
+Subcommands: solve, verify, reduce, check-reduction, gen. Every run
 writes a single JSON document to stdout. Exit codes: 0 success, 1 invalid
 input, 2 verification failure, 3 infeasible instance, 4 size cap exceeded.
 """
@@ -199,27 +199,6 @@ def _cmd_gen(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def _cmd_bench(args) -> tuple[dict, int]:
-    if args.algo != "interval":
-        raise ValueError("bench supports --algo interval")
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    results = []
-    for n in sizes:
-        model = gen_interval_model(n, args.seed)
-        best = None
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            solution = solve_interval(model)
-            dt = (time.perf_counter() - t0) * 1000.0
-            best = dt if best is None else min(best, dt)
-        results.append({"n": n, "size": len(solution), "elapsedMs": round(best, 3)})
-    doc = {"algorithm": "bench", "benchAlgo": args.algo, "seed": args.seed,
-           "results": results}
-    return doc, EXIT_OK
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call
@@ -275,13 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="time the interval solver on seeded models")
-    p.add_argument("--algo", default="interval")
-    p.add_argument("--sizes", default="500,1000,2000")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -141,9 +141,7 @@ def gen_interval_model(n: int, seed: int) -> IntervalModel:
     for i in range(n):
         a, b = vals[2 * i], vals[2 * i + 1]
         pairs.append((min(a, b), max(a, b)))
-    canon = canonicalize_intervals(IntervalModel(tuple(pairs)))
-    # the pre-canonicalization ids are internal; expose an identity mapping
-    return IntervalModel(canon.intervals, True, tuple(range(n)))
+    return canonicalize_intervals(IntervalModel(tuple(pairs)))[0]
 
 
 def gen_split_graph(p_clique: int, q_ind: int, density: float,

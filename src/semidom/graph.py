@@ -263,17 +263,19 @@ class SplitPartition:
     independent: tuple[int, ...]
 
     def validate(self, g: Graph) -> None:
-        k = set(self.clique)
-        i = set(self.independent)
-        if k & i:
-            raise ValueError("clique and independent set overlap")
-        if k | i != set(range(g.n)):
+        seen: set[int] = set()
+        for v in self.clique + self.independent:
+            if v in seen:
+                raise ValueError(f"partition lists vertex {v} twice")
+            seen.add(v)
+        if seen != set(range(g.n)):
             raise ValueError("partition does not cover all vertices")
-        ks = sorted(k)
+        ks = sorted(self.clique)
         for a in range(len(ks)):
             for b in range(a + 1, len(ks)):
                 if not g.has_edge(ks[a], ks[b]):
                     raise ValueError(f"clique part misses edge ({ks[a]},{ks[b]})")
+        i = set(self.independent)
         for u, v in g.edges:
             if u in i and v in i:
                 raise ValueError(f"independent part contains edge ({u},{v})")

@@ -31,9 +31,10 @@ import enum
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InfeasibleError
-from .intervals import IntervalModel, ensure_canonical
+from .intervals import IntervalModel, canonicalize_intervals
 
 Node = tuple  # ("source",), ("in", i), ("out", i), ("sink",)
 
@@ -79,13 +80,13 @@ class SplitDigraph:
     arcs: tuple[tuple[Node, Node, int], ...]
 
 
-def contains_all(m: IntervalModel) -> int | None:
+def contains_all(intervals: Sequence[tuple]) -> int | None:
     """Index of the interval properly containing all others, if one exists."""
-    if m.n <= 1:
+    if len(intervals) <= 1:
         return None
-    best = min(range(m.n), key=lambda k: m.intervals[k][0])
-    a0, b0 = m.intervals[best]
-    for k, (a, b) in enumerate(m.intervals):
+    best = min(range(len(intervals)), key=lambda k: intervals[k][0])
+    a0, b0 = intervals[best]
+    for k, (a, b) in enumerate(intervals):
         if k == best:
             continue
         if not (a0 < a and b < b0):
@@ -96,7 +97,7 @@ def contains_all(m: IntervalModel) -> int | None:
 def _component_slices(intervals) -> list[tuple[int, int]]:
     """Contiguous [start, stop) runs of one intersection-graph component.
 
-    Only valid for canonical models (sorted by left endpoint): a component
+    Only valid for canonical intervals (sorted by left endpoint): a component
     ends where every earlier interval stops before the next one starts.
     """
     slices = []
@@ -114,7 +115,7 @@ def _component_slices(intervals) -> list[tuple[int, int]]:
     return slices
 
 
-def _digraph_arrays(m: IntervalModel):
+def _digraph_arrays(intervals: Sequence[tuple[int, int]]):
     """Sentinel-extended endpoint arrays and per-vertex arc thresholds.
 
     Returns (ivs, avals, bvals, verts, fs, gs) where for an index i
@@ -122,16 +123,17 @@ def _digraph_arrays(m: IntervalModel):
     (so an A2 arc (i, j) exists iff b_i < a_j < fs[i]) and gs[i] is the
     greatest right endpoint among intervals starting left of b_i (the arc is
     marked iff a_j < gs[i]). Thresholds range over all of I', so contained
-    intervals count as gap and marking witnesses. The model must be
-    canonical and connected, with at least two intervals and no interval
-    containing all others; `build_overlap_digraph` checks this, and
-    `solve_interval` splits and checks the components before calling it.
+    intervals count as gap and marking witnesses. The intervals must be
+    canonical, that is left unchanged by `canonicalize_intervals`, and
+    connected, with at least two intervals and none containing all others;
+    `build_overlap_digraph` checks this, and `solve_interval` splits and
+    checks the components of its canonical form before calling it.
     """
-    n = m.n
-    lo = m.intervals[0][0]
-    hi = max(b for _, b in m.intervals)
+    n = len(intervals)
+    lo = intervals[0][0]
+    hi = max(b for _, b in intervals)
     ivs: list[tuple[int, int]] = [(lo - 3, lo - 2)]
-    ivs.extend(m.intervals)
+    ivs.extend(intervals)
     ivs.append((hi + 1, hi + 2))
 
     # vertex set: indices not properly contained in any interval of I'
@@ -166,18 +168,19 @@ def _digraph_arrays(m: IntervalModel):
 def build_overlap_digraph(m: IntervalModel) -> OverlapDigraph:
     """Construct the overlap digraph of a canonical, connected model.
 
-    A test reference, off every solve path: `solve_interval` relaxes the
-    same arcs in a linear window without building this digraph.
+    Canonical means left unchanged by `canonicalize_intervals`. A test
+    reference, off every solve path: `solve_interval` relaxes the same arcs
+    in a linear window without building this digraph.
     """
-    if not m.canonical:
+    if canonicalize_intervals(m)[0] != m:
         raise ValueError("model must be canonical")
     if m.n < 2:
         raise ValueError("need at least two intervals")
-    if contains_all(m) is not None:
+    if contains_all(m.intervals) is not None:
         raise ValueError("an interval contains all others")
     if len(_component_slices(m.intervals)) != 1:
         raise ValueError("intersection graph is not connected")
-    ivs, avals, bvals, verts, fs, gs = _digraph_arrays(m)
+    ivs, avals, bvals, verts, fs, gs = _digraph_arrays(m.intervals)
     arcs: list[tuple[int, int, ArcClass]] = []
     for x, i in enumerate(verts):
         bi = bvals[i]
@@ -336,28 +339,21 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
     """
     if m.n == 0:
         raise ValueError("empty interval model")
-    canon = ensure_canonical(m)
-    inv = [0] * m.n
-    for orig, pos in enumerate(canon.perm):
-        inv[pos] = orig
+    canon, ids = canonicalize_intervals(m)
     slices = _component_slices(canon.intervals)
     if any(stop - start == 1 for start, stop in slices):
         raise InfeasibleError("singleton component has no distance-2 partner")
 
     chosen: list[int] = []
     for start, stop in slices:
-        sub = IntervalModel(
-            intervals=canon.intervals[start:stop],
-            canonical=True,
-            perm=tuple(range(stop - start)),
-        )
-        container = contains_all(sub)
+        part = canon.intervals[start:stop]
+        container = contains_all(part)
         if container is not None:
             container += start
-            chosen.append(inv[container])
-            chosen.append(min(inv[k] for k in range(start, stop) if k != container))
+            chosen.append(ids[container])
+            chosen.append(min(ids[k] for k in range(start, stop) if k != container))
         else:
-            _, avals, _, verts, fs, gs = _digraph_arrays(sub)
-            chosen.extend(inv[start + k - 1]
+            _, avals, _, verts, fs, gs = _digraph_arrays(part)
+            chosen.extend(ids[start + k - 1]
                           for k in _window_constrained_path(avals, verts, fs, gs))
     return tuple(sorted(chosen))

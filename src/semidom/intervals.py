@@ -4,15 +4,15 @@ An interval model is a family of closed real intervals; its intersection
 graph has one vertex per interval and an edge where intervals meet (a shared
 endpoint counts, the intervals being closed). Canonicalization rewrites the
 endpoints as 2n pairwise-distinct integers without changing the intersection
-graph, and sorts the intervals by left endpoint.
+graph, and sorts the intervals by left endpoint. A model is canonical when
+`canonicalize_intervals` leaves it unchanged.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .graph import Graph
 
@@ -21,21 +21,13 @@ Number = int | float | Fraction
 
 @dataclass(frozen=True)
 class IntervalModel:
-    """A family of closed intervals, indexed by vertex id.
-
-    When `canonical` is true, all 2n endpoints are distinct integers and the
-    intervals are sorted by increasing left endpoint; `perm` then maps each
-    id of the model this one was canonicalized from to its new id (it is the
-    identity permutation for models built canonical from scratch).
-    """
+    """A family of closed intervals, indexed by vertex id."""
 
     intervals: tuple[tuple[Number, Number], ...]
-    canonical: bool = False
-    perm: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for k, (a, b) in enumerate(self.intervals):
-            if a >= b:
+            if not a < b:  # also rejects NaN, which compares false both ways
                 raise ValueError(f"degenerate interval {k}: [{a},{b}]")
 
     @property
@@ -79,45 +71,23 @@ def intersection_edge_count(m: IntervalModel) -> int:
     return n * (n - 1) // 2 - missing
 
 
-def canonicalize_intervals(m: IntervalModel) -> IntervalModel:
+def canonicalize_intervals(m: IntervalModel) -> tuple[IntervalModel, tuple[int, ...]]:
     """Rewrite endpoints as distinct integers, preserving the intersection graph.
 
     All 2n endpoint events are sorted by value; at equal value a left
     endpoint precedes a right endpoint (so closed intervals that only touch
     stay intersecting), and ties within the same kind break by interval
-    index. Event ranks become the new endpoints. The returned model is
-    sorted by left endpoint and carries the id permutation.
+    index. Event ranks become the new endpoints. Returns the model sorted by
+    left endpoint, and `ids`, where `ids[pos]` is the id in `m` of the
+    interval at position `pos`.
     """
-    n = m.n
     events = []
     for k, (a, b) in enumerate(m.intervals):
         events.append((a, 0, k))  # left endpoint
         events.append((b, 1, k))  # right endpoint
     events.sort()
-    new = [[0, 0] for _ in range(n)]
+    new = [[0, 0] for _ in range(m.n)]
     for rank, (_, kind, k) in enumerate(events):
         new[k][kind] = rank
-    order = sorted(range(n), key=lambda k: new[k][0])
-    perm = [0] * n
-    for pos, k in enumerate(order):
-        perm[k] = pos
-    return IntervalModel(
-        intervals=tuple((new[k][0], new[k][1]) for k in order),
-        canonical=True,
-        perm=tuple(perm),
-    )
-
-
-def ensure_canonical(m: IntervalModel) -> IntervalModel:
-    """Canonical form of m, with perm mapping m's own ids to canonical ids.
-
-    For an already-canonical input that mapping is the identity, whatever
-    provenance permutation the model happens to carry.
-    """
-    if m.canonical:
-        return IntervalModel(m.intervals, True, tuple(range(m.n)))
-    return canonicalize_intervals(m)
-
-
-def model_from_pairs(pairs: Iterable[tuple[Number, Number]]) -> IntervalModel:
-    return IntervalModel(intervals=tuple((a, b) for a, b in pairs))
+    ids = tuple(k for _, kind, k in events if kind == 0)
+    return IntervalModel(tuple((new[k][0], new[k][1]) for k in ids)), ids

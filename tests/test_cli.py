@@ -178,17 +178,13 @@ class TestCheckReduction:
 
 
 class TestBenchAndErrors:
-    def test_bench_table(self):
-        code, doc = run_cli("bench", "--algo", "interval", "--sizes", "50,100",
-                            "--seed", "1", "--repeats", "2")
-        assert code == 0
-        assert [row["n"] for row in doc["results"]] == [50, 100]
-        assert all(row["elapsedMs"] >= 0 for row in doc["results"])
-
-    def test_bench_rejects_zero_repeats(self):
-        code, doc = run_cli("bench", "--sizes", "50", "--repeats", "0")
-        assert code == 1 and doc["kind"] == "invalid-input"
-        assert "--repeats" in doc["error"]
+    def test_bench_subcommand_is_gone(self, capsys):
+        # the benchmark lives in bench/, with pinned answers and bounds
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--algo", "interval", "--sizes", "50,100"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage: semidom")
 
     def test_zero_denominator_endpoint_exits_1(self, tmp_path):
         f = tmp_path / "m.txt"
@@ -271,6 +267,18 @@ class TestInProcess:
         doc = json.loads(capsys.readouterr().out)
         assert code == 1 and doc["kind"] == "invalid-input"
         assert "'clique'" in doc["error"]
+
+    def test_repeated_partition_id_exits_1(self, tmp_path, capsys):
+        g, p = tmp_path / "s.txt", tmp_path / "s.partition"
+        g.write_text("4 3\n0 1\n0 2\n1 3\n")
+        for text, vertex in (("clique 0 1\nindependent 2 3 3\n", 3),
+                             ("clique 0 1 1\nindependent 2 3\n", 1)):
+            p.write_text(text)
+            code = cli.main(["reduce", "--kind", "split", "--input", str(g),
+                             "--partition", str(p), "--output", str(tmp_path / "h.txt")])
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 1 and doc["kind"] == "invalid-input"
+            assert doc["error"] == f"partition lists vertex {vertex} twice"
 
     def test_gen_intervals_counts_m_without_the_graph(self, tmp_path, capsys, monkeypatch):
         expected = intersection_graph(gen_interval_model(300, 4)).m

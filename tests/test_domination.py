@@ -9,7 +9,7 @@ from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
 from semidom.errors import InfeasibleError, SizeCapError
 from semidom.generators import SplitMix64, gen_connected_graph, gen_named
 from semidom.graph import Graph
-from semidom.intervals import intersection_graph, model_from_pairs
+from semidom.intervals import IntervalModel, intersection_graph
 from semidom.reductions import GadgetKind, build_gadget
 
 import oracles
@@ -102,7 +102,7 @@ def bounded_length_model_graph(n, rng):
     for _ in range(n):
         a += rng.randrange(4)
         pairs.append((a, a + 1 + rng.randrange(5)))
-    return intersection_graph(model_from_pairs(pairs))
+    return intersection_graph(IntervalModel(tuple(pairs)))
 
 
 class TestVerifyReports:

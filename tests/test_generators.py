@@ -8,7 +8,7 @@ from semidom import generators
 from semidom.generators import (SplitMix64, gen_connected_graph,
                                 gen_interval_model, gen_named, gen_split_graph)
 from semidom.graph import Graph, is_connected
-from semidom.intervals import intersection_graph
+from semidom.intervals import canonicalize_intervals, intersection_graph
 from semidom.reductions import GadgetKind, build_gadget
 
 
@@ -134,8 +134,7 @@ class TestGenIntervalModel:
         for _ in range(40):
             n = 1 + rng.randrange(15)
             m = gen_interval_model(n, rng.next_u64())
-            assert m.canonical
-            assert m.perm == tuple(range(n))
+            assert canonicalize_intervals(m) == (m, tuple(range(n)))
             endpoints = [x for iv in m.intervals for x in iv]
             assert all(isinstance(x, int) for x in endpoints)
             assert len(set(endpoints)) == 2 * n

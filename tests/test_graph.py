@@ -387,14 +387,14 @@ class TestIsConnected:
 class TestCanonicalize:
     def test_already_distinct_keeps_overlap(self):
         m = IntervalModel(((1, 4), (3, 6)))
-        c = canonicalize_intervals(m)
-        assert c.canonical
+        c, ids = canonicalize_intervals(m)
+        assert canonicalize_intervals(c) == (c, (0, 1))
         assert intersection_graph(c).edges == intersection_graph(m).edges
 
     def test_shared_endpoint_counts_as_intersection(self):
         m = IntervalModel(((1, 2), (2, 3)))
         assert intersection_graph(m).has_edge(0, 1)
-        c = canonicalize_intervals(m)
+        c, _ = canonicalize_intervals(m)
         a0, b0 = c.intervals[0]
         a1, b1 = c.intervals[1]
         assert a1 < b0, "touching closed intervals must stay intersecting"
@@ -403,10 +403,13 @@ class TestCanonicalize:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
             IntervalModel(((5, 5), (1, 2)))
+        # NaN compares false both ways, so it must fail `a < b`, not pass `a >= b`
+        with pytest.raises(ValueError, match="degenerate interval 1"):
+            IntervalModel(((1, 4), (0, float("nan")), (0, 1)))
 
     def test_endpoints_are_distinct_sorted_integers(self):
         m = IntervalModel(((Fraction(1, 2), Fraction(3, 2)), (1, 4), (0.25, 9.5)))
-        c = canonicalize_intervals(m)
+        c, _ = canonicalize_intervals(m)
         endpoints = [x for iv in c.intervals for x in iv]
         assert all(isinstance(x, int) for x in endpoints)
         assert len(set(endpoints)) == 2 * c.n
@@ -414,10 +417,11 @@ class TestCanonicalize:
 
     def test_permutation_maps_edges_exactly(self):
         m = IntervalModel(((5, 9), (1, 6), (8, 12)))
-        c = canonicalize_intervals(m)
-        raw_edges = {tuple(sorted((c.perm[u], c.perm[v])))
-                     for u, v in intersection_graph(m).edges}
-        assert raw_edges == set(intersection_graph(c).edges)
+        c, ids = canonicalize_intervals(m)
+        assert ids == (1, 0, 2)
+        mapped = {tuple(sorted((ids[u], ids[v])))
+                  for u, v in intersection_graph(c).edges}
+        assert mapped == set(intersection_graph(m).edges)
 
     def test_200_seeded_models_preserve_intersection_graph(self):
         rng = SplitMix64(2024)
@@ -432,10 +436,10 @@ class TestCanonicalize:
                 else:
                     pairs.append((a, b))
             m = IntervalModel(tuple(pairs))
-            c = canonicalize_intervals(m)
-            mapped = {tuple(sorted((c.perm[u], c.perm[v])))
-                      for u, v in intersection_graph(m).edges}
-            assert mapped == set(intersection_graph(c).edges), (trial, pairs)
+            c, ids = canonicalize_intervals(m)
+            mapped = {tuple(sorted((ids[u], ids[v])))
+                      for u, v in intersection_graph(c).edges}
+            assert mapped == set(intersection_graph(m).edges), (trial, pairs)
 
 
 class TestSplitPartition:

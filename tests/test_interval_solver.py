@@ -23,7 +23,7 @@ P5_MODEL = IntervalModel(((1, 4), (3, 8), (5, 12), (9, 14), (13, 16)))
 
 
 def canon(pairs):
-    return canonicalize_intervals(IntervalModel(tuple(pairs)))
+    return canonicalize_intervals(IntervalModel(tuple(pairs)))[0]
 
 
 def bounded_length_pairs(n, rng):
@@ -55,19 +55,18 @@ def small_models(draw):
 
 class TestContainsAll:
     def test_container_found(self):
-        assert contains_all(canon([(0, 10), (2, 3), (4, 5)])) == 0
+        assert contains_all(canon([(0, 10), (2, 3), (4, 5)]).intervals) == 0
 
     def test_plain_overlap_has_none(self):
-        assert contains_all(canon([(1, 4), (3, 6)])) is None
+        assert contains_all(canon([(1, 4), (3, 6)]).intervals) is None
 
     def test_mutual_non_containment(self):
-        assert contains_all(canon([(1, 8), (2, 9)])) is None
+        assert contains_all(canon([(1, 8), (2, 9)]).intervals) is None
 
 
 class TestBuildOverlapDigraph:
     def test_p5_model_arcs_match_independent_enumeration(self):
-        c = canonicalize_intervals(P5_MODEL)
-        d = build_overlap_digraph(c)
+        d = build_overlap_digraph(canonicalize_intervals(P5_MODEL)[0])
         assert d.vertices == (0, 1, 2, 3, 4, 5, 6)
         got = {(i, j): cls.value for i, j, cls in d.arcs}
         assert got == {
@@ -90,6 +89,8 @@ class TestBuildOverlapDigraph:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             build_overlap_digraph(IntervalModel(((1, 4), (3, 6))))  # not canonical
+        with pytest.raises(ValueError):
+            build_overlap_digraph(IntervalModel(((0, 1), (1, 2))))  # touching
         with pytest.raises(ValueError):
             build_overlap_digraph(canon([(0, 1)]))  # too small
         with pytest.raises(ValueError):
@@ -181,7 +182,7 @@ class TestBuildSplitDigraph:
 
 class TestShortestConstrainedPath:
     def test_p5_model_path(self):
-        d = build_overlap_digraph(canonicalize_intervals(P5_MODEL))
+        d = build_overlap_digraph(canonicalize_intervals(P5_MODEL)[0])
         s = shortest_constrained_path(build_split_digraph(d))
         assert s == (2, 4)
 
@@ -249,7 +250,7 @@ class TestSolveInterval:
         while checked < 80:
             n = 3 + rng.randrange(9)
             m = gen_interval_model(n, rng.next_u64())
-            if contains_all(m) is not None:
+            if contains_all(m.intervals) is not None:
                 continue
             if not is_connected(intersection_graph(m)):
                 continue
@@ -327,7 +328,7 @@ class TestSolveInterval:
                 d = build_overlap_digraph(m)
             except ValueError:  # container or disconnected model
                 continue
-            _, avals, _, verts, fs, gs = _digraph_arrays(m)
+            _, avals, _, verts, fs, gs = _digraph_arrays(m.intervals)
             assert (_window_constrained_path(avals, verts, fs, gs)
                     == shortest_constrained_path(build_split_digraph(d)))
             checked += 1
@@ -335,11 +336,27 @@ class TestSolveInterval:
     @given(small_models())
     @settings(max_examples=400, deadline=None)
     def test_hypothesis_models_match_exact_oracle(self, m):
+        c, ids = canonicalize_intervals(m)
+        assert canonicalize_intervals(c) == (c, tuple(range(m.n)))
         g = intersection_graph(m)
         try:
             s = solve_interval(m)
         except InfeasibleError:
             assert any(g.degree(v) == 0 for v in range(m.n))
+            with pytest.raises(InfeasibleError):
+                solve_interval(c)
             return
+        # c's answer mapped through ids solves m too; it differs from s only
+        # where a container is paired with the smallest other id of m
+        mapped = tuple(sorted(ids[k] for k in solve_interval(c)))
+        assert len(mapped) == len(s) and verify(g, mapped, SEMI).valid
+        # s depends on m only through (c, ids): c's endpoints placed at m's
+        # ids canonicalize to the same pair and give the same answer
+        ranked = [None] * m.n
+        for pos, k in enumerate(ids):
+            ranked[k] = c.intervals[pos]
+        r = IntervalModel(tuple(ranked))
+        assert canonicalize_intervals(r) == (c, ids)
+        assert solve_interval(r) == s
         assert verify(g, s, SEMI).valid
         assert len(s) == len(exact_min(g, SEMI))
