@@ -18,8 +18,8 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, SizeCapError
-from .graph import (Graph, check_vertex_set, closed_masks, connected_components,
-                    distance2_masks, open_masks)
+from .graph import (Graph, _distance2_from_closed, check_vertex_set, closed_masks,
+                    connected_components, open_masks)
 
 # The search recurses once per member it adds, so a component whose optimum
 # is larger than this would run into Python's recursion limit.
@@ -106,7 +106,10 @@ def exact_min(g: Graph, kind: DominationKind,
       each of which needs its own new member; for SEMITOTAL, a coverage
       bound (a new member with no member within distance 2 shares a vertex
       it dominates with another new member); and the number of lonely
-      members one new member can pair.
+      members one new member can pair. Each bound's scan stops as soon as
+      it can no longer prune (or, away from the root, as soon as the
+      packing exceeds r), so a node costs less without changing which
+      nodes the search visits.
 
     1. Size: k* is the smallest k for which the search from the empty set
        succeeds; its answer is a first optimum.
@@ -135,11 +138,12 @@ def exact_min(g: Graph, kind: DominationKind,
     members: list[int] = []
     nodes = 0
     pos = [0] * g.n
+    adj = g._adj
     for comp in comps:
         for i, v in enumerate(comp):
             pos[v] = i
         # comp is sorted, so the relabelling keeps every row sorted
-        sub = Graph(len(comp), _rows=[[pos[v] for v in g.neighbors(u)] for u in comp])
+        sub = Graph(len(comp), _rows=[[pos[v] for v in adj[u]] for u in comp])
         found, nodes = _search(sub, kind, max_nodes, nodes)
         members += [comp[i] for i in found]
     return tuple(sorted(members))
@@ -153,7 +157,7 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
     n = g.n
     cover = open_masks(g) if kind is DominationKind.TOTAL else closed_masks(g)
     semitotal = kind is DominationKind.SEMITOTAL
-    partner = distance2_masks(g) if semitotal else None
+    partner = _distance2_from_closed(g, cover) if semitotal else None
     full = (1 << n) - 1
     need = 0
     # the packing scans vertices by the size of their closed neighborhood,
@@ -187,10 +191,12 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
             return 0
         # most constrained item, and a packing of items whose remaining
         # candidate sets are pairwise disjoint: undominated vertices here,
-        # lonely members below
+        # lonely members below. Away from the root a packing larger than r
+        # ends the node at once; the root counts it in full for `need`.
         best, fewest = 0, n + 1
         forced = 0
         packed = used = reach = 0
+        cap = r if chosen else n
         for tier in tiers:
             m = undom & tier
             while m:
@@ -206,29 +212,31 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
                     forced |= cands
                 if not cands & used:
                     packed += 1
+                    if packed > cap:
+                        return 0
                     used |= cands
                 reach |= cands
-        if packed > r:
-            if not chosen:  # the root: no size below `packed` can succeed
-                need = packed
+        if packed > r:  # only at the root: no size below `packed` can succeed
+            need = packed
             return 0
         if semitotal and undom:
             # a new member u with no chosen member within distance 2 has N[u]
             # inside undom and shares one of its vertices with another new
             # member, so with g1/g2 the largest gains of the two sorts, r
-            # members dominate at most r * max(g1, g2 - 1/2) vertices
-            g1 = g2 = 0
+            # members dominate at most r * max(g1, g2 - 1/2) vertices. The
+            # bound prunes iff 2|undom| > r * max(2 g1, 2 g2 - 1); the scan
+            # stops at the first gain that rules that out.
+            twice_undom = 2 * undom.bit_count()
             while reach:
                 low = reach & -reach
                 reach ^= low
                 u = low.bit_length() - 1
-                gain = (cover[u] & undom).bit_count()
-                if partner[u] & chosen:
-                    if gain > g1:
-                        g1 = gain
-                elif gain > g2:
-                    g2 = gain
-            if 2 * undom.bit_count() > r * max(2 * g1, 2 * g2 - 1):
+                gain = 2 * (cover[u] & undom).bit_count()
+                if not partner[u] & chosen:
+                    gain -= 1
+                if r * gain >= twice_undom:
+                    break
+            else:
                 return 0
         if lonely:
             reach = 0
@@ -246,20 +254,22 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
                     forced |= cands
                 if not cands & used:  # the packing goes on over lonely members
                     packed += 1
+                    if packed > r:
+                        return 0
                     used |= cands
                 reach |= cands
-            if packed > r:
-                return 0
-            # each new member pairs at most `most` lonely members
-            most = 0
-            while reach:
-                low = reach & -reach
-                reach ^= low
-                c = (partner[low.bit_length() - 1] & lonely).bit_count()
-                if c > most:
-                    most = c
-            if -(-lonely.bit_count() // most) > r:
-                return 0
+            # each new member pairs at most `most` lonely members, so the
+            # bound prunes iff |lonely| > most * r; the scan stops at the
+            # first candidate that rules that out
+            count = lonely.bit_count()
+            if count > r:
+                while reach:
+                    low = reach & -reach
+                    reach ^= low
+                    if (partner[low.bit_length() - 1] & lonely).bit_count() * r >= count:
+                        break
+                else:
+                    return 0
         if forced:
             # every completion takes the only candidate of an item
             r -= forced.bit_count()

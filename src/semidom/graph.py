@@ -202,6 +202,7 @@ def is_connected(g: Graph) -> bool:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
+    adj = g._adj
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -211,8 +212,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         comp = [s]
         stack = [s]
         while stack:
-            w = stack.pop()
-            for x in g.neighbors(w):
+            for x in adj[stack.pop()]:
                 if not seen[x]:
                     seen[x] = True
                     comp.append(x)
@@ -224,9 +224,9 @@ def connected_components(g: Graph) -> list[list[int]]:
 def closed_masks(g: Graph) -> list[int]:
     """Closed neighborhood of each vertex as a bitmask."""
     masks = []
-    for v in range(g.n):
+    for v, row in enumerate(g._adj):
         m = 1 << v
-        for u in g.neighbors(v):
+        for u in row:
             m |= 1 << u
         masks.append(m)
     return masks
@@ -235,9 +235,9 @@ def closed_masks(g: Graph) -> list[int]:
 def open_masks(g: Graph) -> list[int]:
     """Open neighborhood of each vertex as a bitmask."""
     masks = []
-    for v in range(g.n):
+    for row in g._adj:
         m = 0
-        for u in g.neighbors(v):
+        for u in row:
             m |= 1 << u
         masks.append(m)
     return masks
@@ -245,11 +245,16 @@ def open_masks(g: Graph) -> list[int]:
 
 def distance2_masks(g: Graph) -> list[int]:
     """For each v, the vertices within distance 2 of v, excluding v itself."""
-    closed = closed_masks(g)
+    return _distance2_from_closed(g, closed_masks(g))
+
+
+def _distance2_from_closed(g: Graph, closed: list[int]) -> list[int]:
+    """distance2_masks(g), given closed = closed_masks(g): the union of the
+    closed neighborhoods of N[v], less v."""
     masks = []
-    for v in range(g.n):
+    for v, row in enumerate(g._adj):
         m = closed[v]
-        for u in g.neighbors(v):
+        for u in row:
             m |= closed[u]
         masks.append(m & ~(1 << v))
     return masks

@@ -239,6 +239,13 @@ class TestExactSearch:
             want = oracles.lex_exact_min(g.n, g.sorted_edges(), "semitotal")
             assert exact_min(g, SEMI) == want, s
 
+    def test_bench_pool_dominating_and_total(self):
+        for s in range(39):
+            g = gen_connected_graph(30, 0.08, s)
+            for kind, name in ((DOM, "dominating"), (TOT, "total")):
+                want = oracles.lex_exact_min(g.n, g.sorted_edges(), name)
+                assert exact_min(g, kind) == want, (s, name)
+
     def test_interleaved_disjoint_unions_and_isolated_vertices(self):
         # 2-3 random graphs whose ids interleave, so each component is
         # relabelled by a monotone map that is not a shift; some parts are
@@ -262,6 +269,30 @@ class TestExactSearch:
         for s in range(39):
             g = gen_connected_graph(30, 0.08, s)
             assert len(exact_min(g, SEMI, max_nodes=800)) >= 2, s
+
+    def test_bench_pool_search_tree_pinned(self):
+        # nodes each pool graph's search visits, seed by seed; a change that
+        # only makes nodes cheaper keeps every count, so update these only
+        # with a deliberate change to the tree
+        pins = {
+            SEMI: (55, 128, 383, 184, 180, 325, 73, 59, 131, 228, 724, 94, 58,
+                   71, 208, 109, 53, 37, 56, 66, 32, 78, 90, 98, 36, 187, 35,
+                   390, 111, 40, 147, 50, 151, 75, 194, 72, 262, 35, 67),
+            DOM: (48, 41, 543, 729, 766, 171, 31, 53, 221, 33, 761, 194, 30,
+                  33, 72, 36, 86, 22, 81, 151, 22, 40, 88, 150, 31, 96, 31, 79,
+                  45, 25, 954, 44, 47, 124, 582, 130, 22, 23, 107),
+            TOT: (24, 54, 42, 78, 80, 21, 63, 38, 67, 39, 68, 17, 23, 42, 37,
+                  21, 18, 45, 71, 33, 44, 43, 74, 69, 65, 40, 32, 53, 21, 21,
+                  22, 32, 50, 22, 85, 59, 28, 61, 50),
+        }
+        assert (sum(pins[SEMI]), max(pins[SEMI])) == (5372, 724)
+        for s in range(39):
+            g = gen_connected_graph(30, 0.08, s)
+            for kind, counts in pins.items():
+                need = counts[s]
+                assert exact_min(g, kind, max_nodes=need) == exact_min(g, kind), (s, kind)
+                with pytest.raises(SizeCapError, match=rf"budget of {need - 1} nodes$"):
+                    exact_min(g, kind, max_nodes=need - 1)
 
     def test_components_are_searched_one_at_a_time(self):
         # searched as one instance, this 90-vertex union passes 10^5 nodes

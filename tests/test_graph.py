@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semidom.graph import (Graph, SplitPartition, bfs_distance, check_vertex_set,
-                           connected_components, is_connected, neighborhood_within)
+                           closed_masks, connected_components, distance2_masks,
+                           is_connected, neighborhood_within, open_masks)
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
                                intersection_edge_count, intersection_graph)
 from semidom.generators import SplitMix64, gen_interval_model
@@ -369,6 +370,17 @@ class TestNeighborhoodWithin:
                 want = tuple(u for u in range(g.n) if bfs_distance(g, v, u) <= r)
                 assert neighborhood_within(g, v, r) == want
 
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_masks_match_neighborhoods(self, g):
+        def mask(vs):
+            return sum(1 << u for u in vs)
+        closed, opened, dist2 = closed_masks(g), open_masks(g), distance2_masks(g)
+        for v in range(g.n):
+            assert closed[v] == mask(neighborhood_within(g, v, 1))
+            assert opened[v] == mask(g.neighbors(v))
+            assert dist2[v] == mask(neighborhood_within(g, v, 2)) & ~(1 << v)
+
 
 class TestIsConnected:
     def test_cycle(self):
@@ -382,6 +394,15 @@ class TestIsConnected:
 
     def test_components(self):
         assert connected_components(TWO_EDGES) == [[0, 1], [2, 3]]
+
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_components_match_bfs(self, g):
+        comps = connected_components(g)
+        assert sorted(v for c in comps for v in c) == list(range(g.n))
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        for c in comps:
+            assert c == [u for u in range(g.n) if bfs_distance(g, c[0], u) < math.inf]
 
 
 class TestCanonicalize:
