@@ -101,6 +101,15 @@ def exact_min(g: Graph, kind: DominationKind,
       branches are disjoint; the one dominating most new vertices goes
       first, smallest id on ties.
     - Items left with a single candidate take it at once.
+    - A later candidate u is skipped when a failed sibling c stands in for
+      it: c dominates every undominated vertex that u dominates and, for
+      SEMITOTAL, has within distance 2 every vertex other than c that u
+      has. Swapping u for c in a completion that holds u keeps it valid (c
+      dominates all u did and partners every member u partnered), and the
+      result lies in c's branch, since u's completions draw their other
+      members from a part of the `allowed` of c's branch. That branch has
+      failed, so only failing subtrees are skipped and every answer and
+      tie-break stays the same.
     - It prunes by three lower bounds: a packing of items (undominated
       vertices, then lonely members) with pairwise disjoint candidate sets,
       each of which needs its own new member; for SEMITOTAL, a coverage
@@ -118,7 +127,9 @@ def exact_min(g: Graph, kind: DominationKind,
        plus u. Only ids below member i of the current optimum need a
        search; a success replaces that optimum. That member is never past
        the last id that can still dominate every undominated vertex and
-       pair every lonely member.
+       pair every lonely member. A failed u stands in for a later u' at
+       the same position by the rule above, since the completions of u'
+       use only ids above u' > u.
 
     Raises ValueError for an empty graph, InfeasibleError when an isolated
     vertex makes TOTAL/SEMITOTAL impossible, and SizeCapError once the
@@ -178,6 +189,16 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
         if partner[u] & chosen:
             return lonely & ~partner[u]
         return lonely & ~partner[u] | 1 << u
+
+    def stood_in(u: int, undom: int, failed: list[int]) -> bool:
+        # a failed c can replace u in any completion that holds u, which
+        # turns it into a completion of c's failed branch (see exact_min)
+        gain = cover[u] & undom
+        for c in failed:
+            if not gain & ~cover[c] and not (
+                    semitotal and partner[u] & ~partner[c] & ~(1 << c)):
+                return True
+        return False
 
     def feasible(r: int, chosen: int, dominated: int, lonely: int, allowed: int) -> int:
         nonlocal nodes, need
@@ -291,13 +312,17 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
             u = low.bit_length() - 1
             order.append((-(cover[u] & undom).bit_count(), u))
         order.sort()
+        failed: list[int] = []
         for _, u in order:
             low = 1 << u
             allowed ^= low
+            if stood_in(u, undom, failed):
+                continue
             found = feasible(r - 1, chosen | low, dominated | cover[u],
                              step_lonely(lonely, chosen, u), allowed)
             if found:
                 return found
+            failed.append(u)
         return 0
 
     k = 2 if semitotal else 1
@@ -316,15 +341,20 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
         if not nxt:
             raise RuntimeError(f"exact search lost its optimum of size {k} at member {i}")
         nxt &= -nxt
+        undom = full & ~dominated
+        failed = []
         for u in range(start, nxt.bit_length() - 1):
-            if not semitotal and not cover[u] & ~dominated:
+            if not semitotal and not cover[u] & undom:
                 continue  # a member that dominates nothing new is never in an optimum
+            if stood_in(u, undom, failed):
+                continue
             low = 1 << u
             found = feasible(k - i - 1, chosen | low, dominated | cover[u],
                              step_lonely(lonely, chosen, u), full & ~((low << 1) - 1))
             if found:
                 best, nxt = found, low
                 break
+            failed.append(u)
         u = nxt.bit_length() - 1
         lonely = step_lonely(lonely, chosen, u)
         chosen |= nxt

@@ -332,17 +332,18 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
     """Minimum semitotal dominating set of the model's intersection graph.
 
     Returns original interval ids. Components are solved independently; a
-    singleton component has no distance-2 partner and raises
-    InfeasibleError. When one interval properly contains all others of its
-    component, that interval plus the component's smallest other id is
-    already optimal.
+    singleton component is an isolated vertex with no distance-2 partner,
+    so InfeasibleError names the smallest such id, as exact_min does. When
+    one interval properly contains all others of its component, that
+    interval plus the component's smallest other id is already optimal.
     """
     if m.n == 0:
         raise ValueError("empty interval model")
     canon, ids = canonicalize_intervals(m)
     slices = _component_slices(canon.intervals)
-    if any(stop - start == 1 for start, stop in slices):
-        raise InfeasibleError("singleton component has no distance-2 partner")
+    isolated = [ids[start] for start, stop in slices if stop - start == 1]
+    if isolated:
+        raise InfeasibleError(f"isolated vertex {min(isolated)}")
 
     chosen: list[int] = []
     for start, stop in slices:

@@ -302,11 +302,13 @@ def test_criterion_9_cli_round_trip(tmp_path):
                             "--seed", str(1000 + i), "--output", str(f))
         assert code == 0
         sets = {}
+        errors = {}
         for algo in ("interval", "exact"):
             code, doc = run_cli("solve", "--algo", algo, "--format", "intervals",
                                 "--input", str(f))
             if code == 3:  # singleton component: both algos must agree
                 sets[algo] = None
+                errors[algo] = doc["error"]
                 runs += 1
                 continue
             assert code == 0, (algo, doc)
@@ -314,6 +316,7 @@ def test_criterion_9_cli_round_trip(tmp_path):
             sets[algo] = doc["set"]
             runs += 1
         assert (sets["interval"] is None) == (sets["exact"] is None)
+        assert errors.get("interval") == errors.get("exact"), errors
         if sets["interval"] is not None:
             sfile = tmp_path / f"m{i}.set"
             sfile.write_text(" ".join(map(str, sets["interval"])) + "\n")

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
                                 exact_min, verify)
 from semidom.errors import InfeasibleError, SizeCapError
-from semidom.generators import SplitMix64, gen_connected_graph, gen_named
+from semidom.generators import (SplitMix64, gen_connected_graph, gen_named,
+                                gen_split_graph)
 from semidom.graph import Graph
 from semidom.intervals import IntervalModel, intersection_graph
 from semidom.reductions import GadgetKind, build_gadget
@@ -265,7 +266,9 @@ class TestExactSearch:
 
     def test_bench_pool_node_count(self):
         # the lonely members' candidate sets join the packing bound; without
-        # them the pool needs up to 1,237 nodes (s = 15), with them 724
+        # them the pool needed up to 1,237 nodes (s = 15), with them 724
+        # (s = 10); skipping the candidates that a failed sibling stands in
+        # for brings the largest count down to 215 (s = 10)
         for s in range(39):
             g = gen_connected_graph(30, 0.08, s)
             assert len(exact_min(g, SEMI, max_nodes=800)) >= 2, s
@@ -275,6 +278,19 @@ class TestExactSearch:
         # only makes nodes cheaper keeps every count, so update these only
         # with a deliberate change to the tree
         pins = {
+            SEMI: (54, 58, 109, 96, 70, 149, 63, 57, 81, 88, 215, 69, 48, 61,
+                   67, 76, 38, 33, 44, 45, 29, 69, 72, 57, 34, 78, 35, 131, 52,
+                   37, 71, 50, 83, 58, 91, 61, 138, 34, 41),
+            DOM: (46, 41, 98, 77, 66, 54, 31, 40, 80, 31, 104, 50, 28, 33, 28,
+                  36, 30, 22, 34, 57, 21, 39, 47, 40, 30, 49, 30, 47, 45, 25, 64,
+                  44, 45, 45, 74, 42, 20, 23, 36),
+            TOT: (23, 47, 36, 39, 70, 20, 50, 35, 40, 39, 55, 17, 23, 42, 21,
+                  21, 18, 41, 42, 31, 37, 36, 45, 53, 46, 37, 30, 53, 20, 21,
+                  20, 29, 30, 22, 32, 43, 26, 41, 33),
+        }
+        # the counts before a failed sibling stood in for later candidates;
+        # that rule only skips subtrees, so no graph may need more nodes
+        parent = {
             SEMI: (55, 128, 383, 184, 180, 325, 73, 59, 131, 228, 724, 94, 58,
                    71, 208, 109, 53, 37, 56, 66, 32, 78, 90, 98, 36, 187, 35,
                    390, 111, 40, 147, 50, 151, 75, 194, 72, 262, 35, 67),
@@ -285,7 +301,10 @@ class TestExactSearch:
                   21, 18, 45, 71, 33, 44, 43, 74, 69, 65, 40, 32, 53, 21, 21,
                   22, 32, 50, 22, 85, 59, 28, 61, 50),
         }
-        assert (sum(pins[SEMI]), max(pins[SEMI])) == (5372, 724)
+        assert (sum(pins[SEMI]), max(pins[SEMI])) == (2742, 215)
+        assert (sum(parent[SEMI]), max(parent[SEMI])) == (5372, 724)
+        for kind, counts in pins.items():
+            assert all(c <= p for c, p in zip(counts, parent[kind])), kind
         for s in range(39):
             g = gen_connected_graph(30, 0.08, s)
             for kind, counts in pins.items():
@@ -293,6 +312,55 @@ class TestExactSearch:
                 assert exact_min(g, kind, max_nodes=need) == exact_min(g, kind), (s, kind)
                 with pytest.raises(SizeCapError, match=rf"budget of {need - 1} nodes$"):
                     exact_min(g, kind, max_nodes=need - 1)
+
+    def test_failed_sibling_needs_the_partner_condition(self):
+        # on the path 0-1-3-2, below member 0 the branch of 2 fails and 2
+        # dominates all that 3 would, but 3 partners 0 and 2 does not, so 2
+        # cannot stand in for 3; skipping 3 would lose (0, 3) and give (1, 2)
+        path = Graph(4, [(0, 1), (1, 3), (2, 3)])
+        assert exact_min(path, SEMI) == (0, 3)
+
+    def test_nested_neighbourhoods_match_lex_search(self):
+        # split graphs, GP4 gadgets and graphs with true twins nest many
+        # neighbourhoods, so a failed candidate often stands in for a later
+        # sibling or a later id of the lexicographic phase
+        rng = SplitMix64(1313)
+        graphs = []
+        for s in range(60):
+            p, q = 1 + rng.randrange(5), 1 + rng.randrange(9)
+            graphs.append(gen_split_graph(p, q, 0.1 + 0.8 * rng.random(), s)[0])
+        # GP4 gadgets of 3-5-vertex bases have 15-25 vertices
+        graphs += [gen_named("gp4", base, s) for base in (3, 4, 5) for s in range(10)]
+        for _ in range(120):
+            n = 2 + rng.randrange(7)
+            adj = [set(gen_connected_graph(n, 0.35, rng.next_u64()).neighbors(v))
+                   for v in range(n)]
+            while len(adj) < 14 and rng.random() < 0.8:  # a true twin of a vertex
+                v = rng.randrange(len(adj))
+                w = len(adj)
+                adj.append(adj[v] | {v})
+                for u in adj[w]:
+                    adj[u].add(w)
+            # relabelled, so that twins do not always take the last ids
+            perm = rng.sample_without_replacement(len(adj), len(adj))
+            graphs.append(Graph(len(adj), [(perm[u], perm[v]) for u in range(len(adj))
+                                           for v in adj[u] if u < v]))
+        for g in graphs:
+            assert_matches_lex_search(g.n, g.sorted_edges())
+
+    def test_reach_at_n60_in_nodes(self):
+        # nodes each graph needs, with and without skipping the candidates
+        # that a failed sibling stands in for; a budget between the two
+        # solves now and ran out before
+        counts = {
+            (SEMI, 0): (13_477, 25_620), (SEMI, 1): (10_803, 10_809),
+            (SEMI, 2): (1_489, 1_944), (DOM, 0): (5_509, 25_954),
+            (DOM, 1): (9_028, 13_069), (DOM, 2): (1_027, 2_681),
+        }
+        for (kind, s), (now, parent) in counts.items():
+            g = gen_connected_graph(60, 0.08, s)
+            budget = (now + parent) // 2
+            assert exact_min(g, kind, max_nodes=budget) == exact_min(g, kind), (kind, s)
 
     def test_components_are_searched_one_at_a_time(self):
         # searched as one instance, this 90-vertex union passes 10^5 nodes

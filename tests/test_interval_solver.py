@@ -224,10 +224,13 @@ class TestSolveInterval:
         assert verify(intersection_graph(P5_MODEL), s, SEMI).valid
 
     def test_singleton_component_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            solve_interval(IntervalModel(((0, 1),)))
-        with pytest.raises(InfeasibleError):
-            solve_interval(IntervalModel(((0, 5), (1, 2), (9, 10))))
+        # the message names the smallest id left alone, as exact_min's does,
+        # not the leftmost singleton
+        for pairs, v in ((((0, 1),), 0), (((0, 5), (1, 2), (9, 10)), 2),
+                         (((0, 1), (5, 6), (1, 2)), 1),
+                         (((20, 21), (0, 1), (5, 6), (1, 2)), 0)):
+            with pytest.raises(InfeasibleError, match=rf"^isolated vertex {v}$"):
+                solve_interval(IntervalModel(pairs))
 
     def test_disconnected_components_solved_independently(self):
         m = IntervalModel(((0, 3), (2, 5), (10, 13), (12, 15)))
@@ -270,8 +273,9 @@ class TestSolveInterval:
             g = intersection_graph(m)
             try:
                 s = solve_interval(m)
-            except InfeasibleError:
-                assert any(g.degree(v) == 0 for v in range(n))
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError, match=rf"^{exc}$"):
+                    exact_min(g, SEMI)
                 continue
             assert verify(g, s, SEMI).valid
             assert len(s) == len(exact_min(g, SEMI))
@@ -341,8 +345,9 @@ class TestSolveInterval:
         g = intersection_graph(m)
         try:
             s = solve_interval(m)
-        except InfeasibleError:
-            assert any(g.degree(v) == 0 for v in range(m.n))
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError, match=rf"^{exc}$"):
+                exact_min(g, SEMI)
             with pytest.raises(InfeasibleError):
                 solve_interval(c)
             return
