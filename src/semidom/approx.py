@@ -105,8 +105,9 @@ def approx_semitotal(g: Graph) -> tuple[int, ...]:
     Works on disconnected graphs: a lonely member of a component with two or
     more vertices has a neighbor outside the dominating set to pair with,
     and the ratio holds per component. Raises ValueError for an empty graph
-    and InfeasibleError for an isolated vertex.
+    and InfeasibleError for an isolated vertex, before the greedy runs.
     """
+    check_no_isolated(g)
     d = greedy_dominating_set(g)
     inst = build_semitotal_setcover(g, d)
     if not inst.universe:

@@ -48,33 +48,40 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_instance(args) -> tuple[Graph, IntervalModel | None]:
+def _load_instance(args) -> Graph | IntervalModel:
     text = _read(args.input)
     if args.format == "intervals":
-        model = parse_intervals(text)
-        return intersection_graph(model), model
-    return parse_edgelist(text), None
+        return parse_intervals(text)
+    return parse_edgelist(text)
+
+
+def _graph_of(inst: Graph | IntervalModel) -> Graph:
+    return intersection_graph(inst) if isinstance(inst, IntervalModel) else inst
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
     if args.max_nodes is not None and args.algo != "exact":
         raise ValueError("--max-nodes requires --algo exact")
-    g, model = _load_instance(args)
+    inst = _load_instance(args)
+    if args.algo == "interval" and not isinstance(inst, IntervalModel):
+        raise ValueError("--algo interval requires --format intervals")
+    # the interval solver needs only the model, so an infeasible model exits
+    # before its O(n^2) intersection graph is built for the check
+    g = None if args.algo == "interval" else _graph_of(inst)
     t0 = time.perf_counter()
     if args.algo == "exact":
         result = exact_min(g, DominationKind.SEMITOTAL, args.max_nodes)
     elif args.algo == "interval":
-        if model is None:
-            raise ValueError("--algo interval requires --format intervals")
-        result = solve_interval(model)
+        result = solve_interval(inst)
     else:
         result = approx_semitotal(g)
     elapsed = (time.perf_counter() - t0) * 1000.0
+    if g is None:
+        g = _graph_of(inst)
     ok = verify(g, result, DominationKind.SEMITOTAL).valid
     doc = {
         "algorithm": args.algo,
@@ -90,7 +97,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    g, _ = _load_instance(args)
+    g = _graph_of(_load_instance(args))
     members = parse_vertex_set(_read(args.set))
     report = verify(g, members, _KINDS[args.kind])
     doc = {

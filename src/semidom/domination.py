@@ -55,18 +55,19 @@ def verify(g: Graph, s, kind: DominationKind) -> VerificationReport:
     """
     members = check_vertex_set(g, s)
     total = kind is DominationKind.TOTAL
+    adj = g._adj  # members are validated, so their rows are read directly
     cover = [0] * g.n
     for v in members:
         if not total:
             cover[v] += 1
-        for u in g.neighbors(v):
+        for u in adj[v]:
             cover[u] += 1
     reason = (ViolationReason.NOT_TOTALLY_DOMINATED if total
               else ViolationReason.UNDOMINATED)
     violations = [(v, reason) for v, c in enumerate(cover) if c == 0]
     if kind is DominationKind.SEMITOTAL:
         violations += [(v, ViolationReason.NO_PARTNER_WITHIN_2) for v in members
-                       if cover[v] < 2 and all(cover[u] < 2 for u in g.neighbors(v))]
+                       if cover[v] < 2 and all(cover[u] < 2 for u in adj[v])]
         violations.sort(key=lambda t: t[0])  # a vertex has at most one reason
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
@@ -74,8 +75,8 @@ def verify(g: Graph, s, kind: DominationKind) -> VerificationReport:
 def check_no_isolated(g: Graph) -> None:
     """Raise InfeasibleError naming the smallest isolated vertex of g: no
     total or semitotal dominating set can give it a neighbor or partner."""
-    for v in range(g.n):
-        if not g.neighbors(v):
+    for v, row in enumerate(g._adj):
+        if not row:
             raise InfeasibleError(f"isolated vertex {v}")
 
 
@@ -101,6 +102,14 @@ def exact_min(g: Graph, kind: DominationKind,
       branches are disjoint; the one dominating most new vertices goes
       first, smallest id on ties.
     - Items left with a single candidate take it at once.
+    - Away from the root, a node with one member left (r == 1) does not
+      branch: the new member must lie in `allowed` and in the candidate set
+      of every undominated vertex and lonely member and, for SEMITOTAL,
+      have a chosen member within distance 2. It returns the smallest such
+      member, or fails. Every such member dominates all undominated
+      vertices, so the branching would try them in id order and return the
+      same one; the bounds and forced members reject only nodes where none
+      exists.
     - A later candidate u is skipped when a failed sibling c stands in for
       it: c dominates every undominated vertex that u dominates and, for
       SEMITOTAL, has within distance 2 every vertex other than c that u
@@ -127,9 +136,14 @@ def exact_min(g: Graph, kind: DominationKind,
        plus u. Only ids below member i of the current optimum need a
        search; a success replaces that optimum. That member is never past
        the last id that can still dominate every undominated vertex and
-       pair every lonely member. A failed u stands in for a later u' at
-       the same position by the rule above, since the completions of u'
-       use only ids above u' > u.
+       pair every lonely member. A u whose search failed, at this or an
+       earlier position, stands in for a later u' by the rule above, judged
+       against the undominated vertices of the current position. If u
+       failed at position j, swapping u' for u in a completion at position
+       i >= j gives the first j members, u, the members fixed at positions
+       j to i - 1 and the rest of the completion. All but the first j are
+       above u, so u's failed search at position j already ruled that set
+       out. A chosen member never enters the list, since it did not fail.
 
     Raises ValueError for an empty graph, InfeasibleError when an isolated
     vertex makes TOTAL/SEMITOTAL impossible, and SizeCapError once the
@@ -209,6 +223,24 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
         if not undom and not lonely:
             return chosen
         if r == 0:
+            return 0
+        if r == 1 and chosen:
+            # the one member left settles every item or the node fails; the
+            # smallest that does is what the branching would return
+            m = allowed
+            while undom and m:
+                low = undom & -undom
+                undom ^= low
+                m &= cover[low.bit_length() - 1]
+            while lonely and m:
+                low = lonely & -lonely
+                lonely ^= low
+                m &= partner[low.bit_length() - 1]
+            while m:
+                low = m & -m
+                if not semitotal or partner[low.bit_length() - 1] & chosen:
+                    return chosen | low
+                m ^= low
             return 0
         # most constrained item, and a packing of items whose remaining
         # candidate sets are pairwise disjoint: undominated vertices here,
@@ -316,7 +348,7 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
         for _, u in order:
             low = 1 << u
             allowed ^= low
-            if stood_in(u, undom, failed):
+            if failed and stood_in(u, undom, failed):
                 continue
             found = feasible(r - 1, chosen | low, dominated | cover[u],
                              step_lonely(lonely, chosen, u), allowed)
@@ -336,17 +368,17 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
     # i takes its next member unless a smaller u also completes to size k
     chosen = dominated = lonely = 0
     start = 0
+    failed = []  # shared by all positions (see exact_min)
     for i in range(k):
         nxt = best & ~chosen
         if not nxt:
             raise RuntimeError(f"exact search lost its optimum of size {k} at member {i}")
         nxt &= -nxt
         undom = full & ~dominated
-        failed = []
         for u in range(start, nxt.bit_length() - 1):
             if not semitotal and not cover[u] & undom:
                 continue  # a member that dominates nothing new is never in an optimum
-            if stood_in(u, undom, failed):
+            if failed and stood_in(u, undom, failed):
                 continue
             low = 1 << u
             found = feasible(k - i - 1, chosen | low, dominated | cover[u],

@@ -137,6 +137,14 @@ class TestApproxSemitotal:
         with pytest.raises(ValueError, match="graph is empty"):
             approx_semitotal(Graph(0))
 
+    def test_isolated_vertices_rejected_before_the_greedy(self):
+        # the greedy alone spends more than a minute on 20,000 vertices
+        g = Graph(20_000, [(0, 1)])
+        t0 = time.perf_counter()
+        with pytest.raises(InfeasibleError, match="^isolated vertex 2$"):
+            approx_semitotal(g)
+        assert time.perf_counter() - t0 < 0.5
+
     def test_verified_and_within_ratio_on_seeded_graphs(self):
         rng = SplitMix64(44)
         for _ in range(100):

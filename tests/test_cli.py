@@ -248,6 +248,25 @@ class TestInProcess:
         assert code == 1 and doc["kind"] == "invalid-input"
         assert "'1e4000000'" in doc["error"]
 
+    def test_infeasible_interval_model_exits_3_before_the_graph(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # a chain of 8,000 intervals and one far away: the intersection graph
+        # alone takes seconds, so the model is solved first
+        chain = [(3 * i, 3 * i + 4 + i % 3) for i in range(8000)] + [(10**6, 10**6 + 1)]
+        f = tmp_path / "m.txt"
+        f.write_text(f"{len(chain)}\n" + "".join(f"{a} {b}\n" for a, b in chain))
+
+        def no_graph(model):
+            raise AssertionError("solve built the intersection graph")
+
+        monkeypatch.setattr(cli, "intersection_graph", no_graph)
+        t0 = time.perf_counter()
+        code = cli.main(["solve", "--algo", "interval", "--format", "intervals",
+                         "--input", str(f)])
+        assert time.perf_counter() - t0 < 1.0
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 3 and doc == {"error": "isolated vertex 8000", "kind": "infeasible"}
+
     def test_exact_member_cap_exits_4(self, tmp_path, capsys):
         f = tmp_path / "path.txt"
         f.write_text(write_edgelist(gen_named("path", 3100)))

@@ -268,7 +268,8 @@ class TestExactSearch:
         # the lonely members' candidate sets join the packing bound; without
         # them the pool needed up to 1,237 nodes (s = 15), with them 724
         # (s = 10); skipping the candidates that a failed sibling stands in
-        # for brings the largest count down to 215 (s = 10)
+        # for brings the largest count down to 215 (s = 10), and settling
+        # nodes with one member left at once to 183
         for s in range(39):
             g = gen_connected_graph(30, 0.08, s)
             assert len(exact_min(g, SEMI, max_nodes=800)) >= 2, s
@@ -278,6 +279,20 @@ class TestExactSearch:
         # only makes nodes cheaper keeps every count, so update these only
         # with a deliberate change to the tree
         pins = {
+            SEMI: (48, 54, 104, 95, 66, 133, 49, 46, 73, 82, 183, 55, 42, 55,
+                   60, 64, 37, 28, 38, 42, 24, 63, 70, 50, 31, 74, 31, 118, 49,
+                   30, 64, 41, 78, 52, 85, 49, 128, 29, 39),
+            DOM: (39, 38, 91, 62, 56, 44, 27, 35, 66, 27, 92, 45, 24, 28, 27,
+                  32, 28, 18, 27, 46, 18, 35, 45, 34, 28, 41, 26, 41, 41, 23, 60,
+                  38, 41, 38, 60, 34, 17, 18, 34),
+            TOT: (21, 39, 34, 35, 61, 17, 46, 30, 35, 34, 52, 16, 20, 37, 17,
+                  20, 17, 34, 34, 26, 32, 32, 38, 44, 41, 32, 24, 50, 18, 14,
+                  16, 24, 27, 18, 30, 35, 19, 37, 31),
+        }
+        # the counts before a node with one member left settled it at once
+        # and the lexicographic phase shared its failures across positions;
+        # both only cut failing subtrees, so no graph may need more nodes
+        parent = {
             SEMI: (54, 58, 109, 96, 70, 149, 63, 57, 81, 88, 215, 69, 48, 61,
                    67, 76, 38, 33, 44, 45, 29, 69, 72, 57, 34, 78, 35, 131, 52,
                    37, 71, 50, 83, 58, 91, 61, 138, 34, 41),
@@ -288,21 +303,8 @@ class TestExactSearch:
                   21, 18, 41, 42, 31, 37, 36, 45, 53, 46, 37, 30, 53, 20, 21,
                   20, 29, 30, 22, 32, 43, 26, 41, 33),
         }
-        # the counts before a failed sibling stood in for later candidates;
-        # that rule only skips subtrees, so no graph may need more nodes
-        parent = {
-            SEMI: (55, 128, 383, 184, 180, 325, 73, 59, 131, 228, 724, 94, 58,
-                   71, 208, 109, 53, 37, 56, 66, 32, 78, 90, 98, 36, 187, 35,
-                   390, 111, 40, 147, 50, 151, 75, 194, 72, 262, 35, 67),
-            DOM: (48, 41, 543, 729, 766, 171, 31, 53, 221, 33, 761, 194, 30,
-                  33, 72, 36, 86, 22, 81, 151, 22, 40, 88, 150, 31, 96, 31, 79,
-                  45, 25, 954, 44, 47, 124, 582, 130, 22, 23, 107),
-            TOT: (24, 54, 42, 78, 80, 21, 63, 38, 67, 39, 68, 17, 23, 42, 37,
-                  21, 18, 45, 71, 33, 44, 43, 74, 69, 65, 40, 32, 53, 21, 21,
-                  22, 32, 50, 22, 85, 59, 28, 61, 50),
-        }
-        assert (sum(pins[SEMI]), max(pins[SEMI])) == (2742, 215)
-        assert (sum(parent[SEMI]), max(parent[SEMI])) == (5372, 724)
+        assert (sum(pins[SEMI]), max(pins[SEMI])) == (2459, 183)
+        assert (sum(parent[SEMI]), max(parent[SEMI])) == (2742, 215)
         for kind, counts in pins.items():
             assert all(c <= p for c, p in zip(counts, parent[kind])), kind
         for s in range(39):
@@ -314,11 +316,41 @@ class TestExactSearch:
                     exact_min(g, kind, max_nodes=need - 1)
 
     def test_failed_sibling_needs_the_partner_condition(self):
-        # on the path 0-1-3-2, below member 0 the branch of 2 fails and 2
-        # dominates all that 3 would, but 3 partners 0 and 2 does not, so 2
-        # cannot stand in for 3; skipping 3 would lose (0, 3) and give (1, 2)
+        # on the path 0-1-3-2, 2 dominates all that 3 would below member 0,
+        # but 3 partners 0 and 2 does not, so 2 cannot stand in for 3;
+        # skipping 3 would lose (0, 3) and give (1, 2). A node with one
+        # member left no longer branches, so the path never reaches the
+        # rule; on the tree below it does, and without the partner
+        # condition the size search misses every 3-member set
         path = Graph(4, [(0, 1), (1, 3), (2, 3)])
         assert exact_min(path, SEMI) == (0, 3)
+        tree = Graph(8, [(0, 7), (1, 2), (2, 6), (3, 4), (4, 5), (4, 7), (6, 7)])
+        assert exact_min(tree, SEMI) == (2, 4, 7)
+
+    def test_failures_stand_in_across_positions(self):
+        # SEMITOTAL on this tree: 0 fails at position 0; at position 1, below
+        # member 1, the candidate 2 dominates nothing new and has only 1 and
+        # 3 within distance 2, as 0 has, so 0 stands in for it
+        assert_matches_lex_search(5, [(0, 3), (1, 2), (1, 3), (3, 4)])
+        # these 2,000 graphs, each solved for all three kinds, give 203
+        # graph/kind cases with a candidate that only a failure at an
+        # earlier position rules out (283 skips)
+        rng = SplitMix64(1)
+        for _ in range(2000):
+            n = 5 + rng.randrange(6)
+            p = rng.random()
+            assert_matches_lex_search(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                          if rng.random() < p])
+
+    def test_a_chosen_member_never_stands_in(self):
+        # at position 2 below (0, 1) the candidate 2 dominates nothing new
+        # and partners only 1 and 6, both within distance 2 of 1; were the
+        # chosen 1 taken as a failure, it would stand in for 2 and lose the
+        # answer (0, 1, 2, 7) for (0, 1, 3, 6), but 1 is in the set already
+        edges = [(0, 3), (0, 4), (1, 2), (1, 6), (3, 5), (3, 7), (4, 5), (5, 7),
+                 (6, 8), (7, 8)]
+        assert exact_min(Graph(9, edges), SEMI) == (0, 1, 2, 7)
+        assert_matches_lex_search(9, edges)
 
     def test_nested_neighbourhoods_match_lex_search(self):
         # split graphs, GP4 gadgets and graphs with true twins nest many
