@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -310,3 +311,15 @@ class TestInProcess:
                          "--output", str(tmp_path / "m.txt")])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and (doc["n"], doc["m"]) == (300, expected)
+
+    def test_gen_random_at_the_approx_pool_size_is_pinned(self, tmp_path, capsys):
+        # generation at the graph-approx pool's size, bit for bit: 1,249
+        # blocks of bulk draws, then 47 components bridged, through the
+        # edge-list writer
+        out = tmp_path / "g.txt"
+        code = cli.main(["gen", "--family", "random", "--size", "800", "--p", "0.00375",
+                         "--seed", "1", "--output", str(out)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and (doc["n"], doc["m"]) == (800, 1208)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5920e6ead6f653410b8d6913a38f25935a5e266baf3fff5db972e5933eb2b950")

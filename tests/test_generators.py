@@ -34,13 +34,22 @@ class TestSplitMix64:
         assert len(set(got)) == 8
         assert all(0 <= x < 20 for x in got)
 
+    def test_sample_rejects_negative_size(self):
+        rng = SplitMix64(13)
+        for k in (-1, -3):
+            with pytest.raises(ValueError):
+                rng.sample_without_replacement(10, k)
+        with pytest.raises(ValueError):
+            rng.sample_without_replacement(10, 11)
+        assert rng.sample_without_replacement(10, 0) == []
+
 
 class TestBulkDraws:
     """`SplitMix64._draws_below` against the scalar stream it replaces."""
 
     SEEDS = (0, 1, 2**63, 2**64 - 1)  # the last wraps the state at once
     L = generators._LANES
-    COUNTS = (0, 1, L - 1, L, L + 1, 3001)
+    COUNTS = (0, 1, L - 1, L, L + 1, 3001, 40 * L + 3)  # the last spans 41 blocks
     # 0.5 * 2**53 is an integer; ints and Fractions are taken exactly
     PROBABILITIES = (0.0, 1.0, 0.5, 3 / 800, 1e-300, Fraction(1, 3), 0, 1, Fraction(7, 9))
 
