@@ -3,7 +3,13 @@
 Exact oracle, polynomial interval-graph solver, logarithmic-ratio greedy
 approximation, and gadget constructions relating semitotal domination to
 domination, total domination and vertex cover.
+
+The solvers load with the package. The gadget constructions and the
+instance generators load on first use of one of their names, so that
+`semidom solve` never loads them.
 """
+
+import importlib
 
 from .approx import (SetCoverInstance, algo_dom_set, approx_semitotal,
                      build_semitotal_setcover, greedy_dominating_set,
@@ -18,13 +24,32 @@ from .interval_solver import (ArcClass, OverlapDigraph, SplitDigraph,
                               build_overlap_digraph, build_split_digraph,
                               contains_all, shortest_constrained_path,
                               solve_interval)
-from .generators import (SplitMix64, gen_connected_graph, gen_interval_model,
-                         gen_named, gen_split_graph)
-from .reductions import (GadgetKind, GadgetOutput, ReductionReport,
-                         build_gadget, check_reduction, extend_solution,
-                         extract_solution, min_vertex_cover)
 
 __version__ = "0.1.0"
+
+# exported names served on first use (PEP 562), by the module that defines them
+_LAZY = {
+    **dict.fromkeys(("SplitMix64", "gen_connected_graph", "gen_interval_model",
+                     "gen_named", "gen_split_graph"), "generators"),
+    **dict.fromkeys(("GadgetKind", "GadgetOutput", "ReductionReport",
+                     "build_gadget", "check_reduction", "extend_solution",
+                     "extract_solution", "min_vertex_cover"), "reductions"),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _LAZY.values():  # the module itself, as an attribute of the package
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys() | set(_LAZY.values()))
+
 
 __all__ = [
     "ArcClass", "DominationKind", "GadgetKind", "GadgetOutput", "Graph",

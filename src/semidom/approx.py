@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .domination import DominationKind, ViolationReason, check_no_isolated, verify
 from .graph import Graph, check_vertex_set, closed_masks, is_connected
-from . import reductions
 
 
 @dataclass(frozen=True)
@@ -142,5 +141,6 @@ def algo_dom_set(g: Graph, k: int = 2) -> tuple[int, ...]:
                 m |= closed[v]
             if m == full:
                 return subset
-    go = reductions.build_gadget(g, reductions.GadgetKind.LN)
-    return reductions.extract_solution(go, approx_semitotal(go.h))
+    from .reductions import GadgetKind, build_gadget, extract_solution
+    go = build_gadget(g, GadgetKind.LN)
+    return extract_solution(go, approx_semitotal(go.h))

@@ -20,12 +20,9 @@ from .errors import InfeasibleError, SizeCapError
 from .formats import (parse_edgelist, parse_intervals, parse_partition,
                       parse_vertex_set, write_edgelist, write_intervals,
                       write_partition)
-from .generators import (NAMED_FAMILIES, gen_connected_graph, gen_interval_model,
-                         gen_named, gen_split_graph)
 from .graph import Graph
 from .intervals import IntervalModel, intersection_edge_count, intersection_graph
 from .interval_solver import solve_interval
-from .reductions import GadgetKind, build_gadget, check_reduction
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -36,6 +33,9 @@ EXIT_SIZE_CAP = 4
 _KINDS = {"dom": DominationKind.DOMINATING,
           "total": DominationKind.TOTAL,
           "semitotal": DominationKind.SEMITOTAL}
+
+# `gen --family` values served by generators.gen_named
+NAMED_FAMILIES = ("path", "cycle", "star", "complete", "gp4")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +69,8 @@ def _cmd_solve(args) -> tuple[dict, int]:
     inst = _load_instance(args)
     if args.algo == "interval" and not isinstance(inst, IntervalModel):
         raise ValueError("--algo interval requires --format intervals")
+    if inst.n == 0:  # one message for every route, before any solver sees it
+        raise ValueError("graph is empty")
     # the interval solver needs only the model, so an infeasible model exits
     # before its O(n^2) intersection graph is built for the check
     g = None if args.algo == "interval" else _graph_of(inst)
@@ -114,6 +116,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_reduce(args) -> tuple[dict, int]:
+    from .reductions import GadgetKind, build_gadget
     g = parse_edgelist(_read(args.input))
     kind = GadgetKind[args.kind.upper()]
     partition = None
@@ -143,6 +146,8 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 
 def _cmd_check_reduction(args) -> tuple[dict, int]:
+    from .generators import gen_connected_graph, gen_split_graph
+    from .reductions import GadgetKind, check_reduction
     kind = GadgetKind[args.kind.upper()]
     partition = None
     if args.input:
@@ -170,6 +175,8 @@ def _cmd_check_reduction(args) -> tuple[dict, int]:
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
+    from .generators import (gen_connected_graph, gen_interval_model, gen_named,
+                             gen_split_graph)
     out = Path(args.output)
     extra: dict = {"output": str(out)}
     if args.family == "intervals":

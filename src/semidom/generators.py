@@ -8,12 +8,12 @@ machine and Python version. Golden tests pin the outputs.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from itertools import compress
 
 from .graph import Graph, SplitPartition, connected_components
 from .intervals import IntervalModel, canonicalize_intervals
-from . import reductions
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -33,8 +33,6 @@ _RAMP = (((_LANES << 128 * (_LANES + 1)) - ((_LANES + 1) << 128 * _LANES) + 1)
 # reaches bit 65, so the mask drops each carry before it meets the next lane
 _STEP = _ONES * (_LANES * _GAMMA & _MASK64)
 _CARRIES = _ONES << 64  # bit 64 of every lane
-
-NAMED_FAMILIES = ("path", "cycle", "star", "complete", "gp4")
 
 
 class SplitMix64:
@@ -122,27 +120,33 @@ def gen_connected_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability out of range: {p}")
     rng = SplitMix64(seed)
     # one draw per pair (u, v), u < v, in row-major order; row u's pairs
-    # have the indices below row_end that the earlier rows do not take
-    edges = []
+    # have the indices below row_end that the earlier rows do not take.
+    # Row v gets its smaller neighbours while the earlier rows are drawn,
+    # then its larger ones, so every row comes out sorted.
+    rows: list[list[int]] = [[] for _ in range(n)]
     u, row_end = 0, n - 1
     for k in rng._draws_below(n * (n - 1) // 2, p):
         while k >= row_end:
             u += 1
             row_end += n - 1 - u
-        edges.append((u, k - row_end + n))
-    g = Graph(n, edges)
+        v = k - row_end + n
+        rows[u].append(v)
+        rows[v].append(u)
+    g = Graph(n, _rows=list(rows))  # a copy: `rows` stays lists for the bridges
     comps = connected_components(g)
     if len(comps) == 1:
         return g
     # each bridge joins the component holding vertex 0, grown so far and
-    # kept sorted, to the component with the next smallest first member
+    # kept sorted, to the component with the next smallest first member;
+    # the two ends lie in different components, so the edge is new
     merged = comps[0]
     for comp in comps[1:]:
         a = merged[rng.randrange(len(merged))]
         b = comp[rng.randrange(len(comp))]
-        edges.append((min(a, b), max(a, b)))
+        insort(rows[a], b)
+        insort(rows[b], a)
         merged = sorted(merged + comp)
-    return Graph(n, sorted(edges))
+    return Graph(n, _rows=rows)
 
 
 def gen_interval_model(n: int, seed: int) -> IntervalModel:
@@ -207,6 +211,7 @@ def gen_named(family: str, size: int, seed: int = 0) -> Graph:
             raise ValueError("complete graph needs size >= 1")
         return Graph(size, [(u, v) for u in range(size) for v in range(u + 1, size)])
     if family == "gp4":
+        from .reductions import GadgetKind, build_gadget
         base = gen_connected_graph(size, 0.5, seed)
-        return reductions.build_gadget(base, reductions.GadgetKind.GP4).h
+        return build_gadget(base, GadgetKind.GP4).h
     raise ValueError(f"unknown family: {family}")

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -212,6 +213,54 @@ class TestBenchAndErrors:
         assert code == 1
 
 
+class TestColdStart:
+    """`semidom solve` loads the solvers and nothing else; the rest of the
+    package loads on first use. Each check runs in a fresh interpreter."""
+
+    @staticmethod
+    def run_child(code: str) -> dict:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=CHILD_ENV, check=True)
+        return json.loads(proc.stdout)
+
+    def test_solve_loads_no_gadget_or_generator_code(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        f = tmp_path / "c4.txt"
+        f.write_text("4 4\n0 1\n0 3\n1 2\n2 3\n")
+        doc = self.run_child(
+            "import contextlib, io, json, sys\n"
+            "import semidom.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    code = semidom.cli.main(['solve', '--algo', 'exact', '--input', {str(f)!r}])\n"
+            "print(json.dumps({'code': code, 'answer': json.loads(out.getvalue()),\n"
+            "                  'modules': sorted(sys.modules)}))\n")
+        assert doc["code"] == 0 and doc["answer"]["set"] == [0, 1]
+        loaded = set(doc["modules"])
+        assert not loaded & {"semidom.reductions", "semidom.generators"}
+        # a traced bench run looks each traced module up in sys.modules
+        assert {f"semidom.{mod}" for mod, _ in spans.TRACED} <= loaded
+
+    def test_lazy_names_load_on_first_use(self):
+        doc = self.run_child(
+            "import json, sys\n"
+            "from semidom import build_gadget, GadgetKind, SplitMix64\n"
+            "print(json.dumps({'kind': GadgetKind.GP4.name,\n"
+            "                  'draw': SplitMix64(0).next_u64(),\n"
+            "                  'gadget': build_gadget.__module__,\n"
+            "                  'loaded': [m in sys.modules for m in\n"
+            "                             ('semidom.reductions', 'semidom.generators')]}))\n")
+        assert doc == {"kind": "GP4", "draw": 16294208416658607535,
+                       "gadget": "semidom.reductions", "loaded": [True, True]}
+        # the modules themselves stay attributes of the bare package
+        doc = self.run_child(
+            "import json, semidom\n"
+            "print(json.dumps([semidom.reductions.__name__, semidom.generators.__name__]))\n")
+        assert doc == ["semidom.reductions", "semidom.generators"]
+
+
 class TestInProcess:
     def test_parser_built_once_without_state_between_calls(self, tmp_path, capsys):
         f = tmp_path / "g.txt"
@@ -227,6 +276,18 @@ class TestInProcess:
                 cli.main(argv)
             assert exc.value.code == code
         assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("fmt, text", [("edgelist", "0 0\n"), ("intervals", "0\n")])
+    @pytest.mark.parametrize("algo", ["exact", "interval", "approx"])
+    def test_empty_instance_exits_1_with_one_message(self, tmp_path, capsys, algo, fmt, text):
+        f = tmp_path / "empty.txt"
+        f.write_text(text)
+        code = cli.main(["solve", "--algo", algo, "--format", fmt, "--input", str(f)])
+        doc = json.loads(capsys.readouterr().out)
+        # the usage error comes first: it holds whatever the file holds
+        error = ("--algo interval requires --format intervals"
+                 if (algo, fmt) == ("interval", "edgelist") else "graph is empty")
+        assert code == 1 and doc == {"error": error, "kind": "invalid-input"}
 
     def test_huge_vertex_count_exits_1(self, tmp_path, capsys):
         f = tmp_path / "g.txt"

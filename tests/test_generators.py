@@ -112,12 +112,26 @@ class TestGenConnectedGraph:
                     got = gen_connected_graph(n, p, seed).sorted_edges()
                     assert got == oracles.ref_gen_connected_graph(n, p, seed), (n, p, seed)
 
+    def test_rows_match_a_validated_build(self):
+        # the rows filled as the pairs are drawn, bridges included, equal
+        # those of Graph(n, edges) on the reference edge list: p = 0 (every
+        # vertex its own component), p = 1, and sparse draws with many
+        # components
+        rng = SplitMix64(16)
+        cases = [(n, p) for n in (1, 2, 7, 60) for p in (0.0, 1.0)]
+        cases += [(1 + rng.randrange(120), rng.random() * 0.08) for _ in range(40)]
+        for n, p in cases:
+            seed = rng.next_u64()
+            g = gen_connected_graph(n, p, seed)
+            ref = Graph(n, oracles.ref_gen_connected_graph(n, p, seed))
+            assert g == ref and g.m == ref.m, (n, p, seed)
+
     def test_builds_the_graph_at_most_twice(self, monkeypatch):
         built = []
 
-        def counting_graph(*args):
+        def counting_graph(*args, **kwargs):
             built.append(args[0])
-            return Graph(*args)
+            return Graph(*args, **kwargs)
 
         monkeypatch.setattr(generators, "Graph", counting_graph)
         g = gen_connected_graph(200, 0.002, 0)  # 159 components as drawn
