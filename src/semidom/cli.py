@@ -20,7 +20,7 @@ from .errors import InfeasibleError, SizeCapError
 from .formats import (parse_edgelist, parse_intervals, parse_partition,
                       parse_vertex_set, write_edgelist, write_intervals,
                       write_partition)
-from .graph import Graph
+from .graph import Graph, SplitPartition
 from .intervals import IntervalModel, intersection_edge_count, intersection_graph
 from .interval_solver import solve_interval
 
@@ -36,6 +36,9 @@ _KINDS = {"dom": DominationKind.DOMINATING,
 
 # `gen --family` values served by generators.gen_named
 NAMED_FAMILIES = ("path", "cycle", "star", "complete", "gp4")
+
+# `--kind` values of reduce and check-reduction: reductions.GadgetKind, lower case
+GADGET_KINDS = ("gp4", "bipartite", "split", "ln", "apx")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +56,16 @@ def _load_instance(args) -> Graph | IntervalModel:
     if args.format == "intervals":
         return parse_intervals(text)
     return parse_edgelist(text)
+
+
+def _load_gadget_source(args) -> tuple[Graph, SplitPartition | None]:
+    """The --input graph, and with --kind split its --partition."""
+    g = parse_edgelist(_read(args.input))
+    if args.kind != "split":
+        return g, None
+    if not args.partition:
+        raise ValueError("--kind split requires --partition")
+    return g, parse_partition(_read(args.partition))
 
 
 def _graph_of(inst: Graph | IntervalModel) -> Graph:
@@ -117,14 +130,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_reduce(args) -> tuple[dict, int]:
     from .reductions import GadgetKind, build_gadget
-    g = parse_edgelist(_read(args.input))
-    kind = GadgetKind[args.kind.upper()]
-    partition = None
-    if kind is GadgetKind.SPLIT:
-        if not args.partition:
-            raise ValueError("--kind split requires --partition")
-        partition = parse_partition(_read(args.partition))
-    go = build_gadget(g, kind, partition)
+    g, partition = _load_gadget_source(args)
+    go = build_gadget(g, GadgetKind[args.kind.upper()], partition)
     out = Path(args.output)
     out.write_text(write_edgelist(go.h), encoding="utf-8")
     roles_path = Path(str(out) + ".roles.json")
@@ -147,23 +154,22 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 def _cmd_check_reduction(args) -> tuple[dict, int]:
     from .generators import gen_connected_graph, gen_split_graph
-    from .reductions import GadgetKind, check_reduction
+    from .reductions import GadgetKind, _check_source_size, check_reduction
     kind = GadgetKind[args.kind.upper()]
-    partition = None
+    # a generated source is refused before it is built, so an oversized
+    # request costs nothing
     if args.input:
-        g = parse_edgelist(_read(args.input))
-        if kind is GadgetKind.SPLIT:
-            if not args.partition:
-                raise ValueError("--kind split requires --partition with --input")
-            partition = parse_partition(_read(args.partition))
+        g, partition = _load_gadget_source(args)
     elif kind is GadgetKind.SPLIT:
         if args.clique is None or args.ind is None:
             raise ValueError("split check needs --clique and --ind (or --input)")
+        _check_source_size(kind, args.clique + args.ind)
         g, partition = gen_split_graph(args.clique, args.ind, args.density, args.seed)
     else:
         if args.size is None:
             raise ValueError("check needs --input or --size")
-        g = gen_connected_graph(args.size, args.p, args.seed)
+        _check_source_size(kind, args.size)
+        g, partition = gen_connected_graph(args.size, args.p, args.seed), None
     report = check_reduction(g, kind, partition)
     doc = {
         "algorithm": "check-reduction",
@@ -196,12 +202,10 @@ def _cmd_gen(args) -> tuple[dict, int]:
         part_path.write_text(write_partition(part), encoding="utf-8")
         extra["partition"] = str(part_path)
         doc_n, doc_m = g.n, g.m
-    elif args.family in NAMED_FAMILIES:
+    else:  # argparse's choices leave only NAMED_FAMILIES
         g = gen_named(args.family, args.size, args.seed)
         out.write_text(write_edgelist(g), encoding="utf-8")
         doc_n, doc_m = g.n, g.m
-    else:
-        raise ValueError(f"unknown family: {args.family}")
     doc = {
         "algorithm": "gen",
         "family": args.family,
@@ -236,16 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("reduce", help="build a gadget graph and its role map")
-    p.add_argument("--kind", choices=("gp4", "bipartite", "split", "ln", "apx"),
-                   required=True)
+    p.add_argument("--kind", choices=GADGET_KINDS, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--partition")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("check-reduction", help="oracle equality check for a gadget")
-    p.add_argument("--kind", choices=("gp4", "bipartite", "split", "ln", "apx"),
-                   required=True)
+    p.add_argument("--kind", choices=GADGET_KINDS, required=True)
     p.add_argument("--input")
     p.add_argument("--partition")
     p.add_argument("--clique", type=int)

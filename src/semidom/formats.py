@@ -125,10 +125,6 @@ def parse_vertex_set(text: str) -> list[int]:
     return ids
 
 
-def write_vertex_set(members) -> str:
-    return " ".join(str(v) for v in sorted(members)) + "\n"
-
-
 def parse_partition(text: str) -> SplitPartition:
     found: dict[str, list[int]] = {}
     for parts in _data_lines(text):

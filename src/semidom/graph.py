@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class Graph:
@@ -145,23 +144,31 @@ def check_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _bfs_layers(g: Graph, source: int) -> Iterator[list[int]]:
+    """Yield the BFS layers from source: [source], then the vertices first
+    reached at distance 1, 2, ... until none are left. Each layer is
+    computed only when it is asked for."""
+    adj = g._adj
+    reached = {source}
+    layer = [source]
+    while layer:
+        yield layer
+        nxt = []
+        for w in layer:
+            for x in adj[w]:
+                if x not in reached:
+                    reached.add(x)
+                    nxt.append(x)
+        layer = nxt
+
+
 def bfs_distance(g: Graph, u: int, v: int) -> int | float:
     """Length of a shortest u-v path; math.inf when disconnected."""
     g.check_vertex(u)
     g.check_vertex(v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        d = dist[w] + 1
-        for x in g.neighbors(w):
-            if x not in dist:
-                if x == v:
-                    return d
-                dist[x] = d
-                queue.append(x)
+    for d, layer in enumerate(_bfs_layers(g, u)):
+        if v in layer:
+            return d
     return math.inf
 
 
@@ -170,34 +177,13 @@ def neighborhood_within(g: Graph, v: int, r: int) -> tuple[int, ...]:
     g.check_vertex(v)
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    reached = {v}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for w in frontier:
-            for x in g.neighbors(w):
-                if x not in reached:
-                    reached.add(x)
-                    nxt.append(x)
-        if not nxt:
-            break
-        frontier = nxt
-    return tuple(sorted(reached))
+    layers = zip(range(r + 1), _bfs_layers(g, v))  # stops before layer r + 1
+    return tuple(sorted(x for _, layer in layers for x in layer))
 
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (vacuous for n <= 1)."""
-    if g.n <= 1:
-        return True
-    reached = {0}
-    stack = [0]
-    while stack:
-        w = stack.pop()
-        for x in g.neighbors(w):
-            if x not in reached:
-                reached.add(x)
-                stack.append(x)
-    return len(reached) == g.n
+    return g.n <= 1 or sum(map(len, _bfs_layers(g, 0))) == g.n
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -34,15 +34,6 @@ from .graph import Graph, SplitPartition, check_vertex_set, is_connected
 
 Role = tuple
 
-ORACLE_CAPS = {
-    "GP4": 4,
-    "BIPARTITE": 4,
-    "SPLIT": 6,
-    "LN": 6,
-    "APX": 3,
-}
-APX_EDGE_CAP = 3
-
 
 class GadgetKind(enum.Enum):
     GP4 = "GP4"
@@ -113,28 +104,29 @@ class _Layout:
     lift: tuple[str, ...]  # tags extend_solution adds; their count is the offset
     project: dict[str, str]  # tag -> rule extract_solution maps it back by
     source: _Source
+    cap: int  # largest source n that check_reduction's exact oracle takes
 
 
 _LAYOUT = {
     # lifted by x_i and y_i: they dominate the whole pendant path totally
     # (w_i would leave y_i without a neighbor in the set)
     GadgetKind.GP4: _Layout(("w", "x", "y", "z"), (), ("vw", "wx", "xy", "yz"),
-                            ("x", "y"), {"w": "neighbor"}, _TOTAL),
+                            ("x", "y"), {"w": "neighbor"}, _TOTAL, 4),
     GadgetKind.BIPARTITE: _Layout(("x", "y", "z", "u", "w"), (),
                                   ("xy", "yz", "zu", "uw", "vz"),
-                                  ("u", "y"), {"z": "origin"}, _DOMINATING),
+                                  ("u", "y"), {"z": "origin"}, _DOMINATING, 4),
     # x over the clique, y over the independent set; the enlarged clique is
     # wired in build_gadget
     GadgetKind.SPLIT: _Layout(("x", "y"), ("w", "z", "r", "s", "t"),
                               ("vx", "xw", "vy", "yt", "rs", "st", "wz"),
                               ("w", "s"), {"x": "origin", "y": "origin"},
-                              _DOMINATING),
+                              _DOMINATING, 6),
     GadgetKind.LN: _Layout(("x",), ("y", "z"), ("vx", "xy", "yz"),
-                           ("y",), {"x": "origin"}, _DOMINATING),
+                           ("y",), {"x": "origin"}, _DOMINATING, 6),
     # one "edge" vertex per source edge follows the blocks
     GadgetKind.APX: _Layout(("u", "x", "y", "z", "w"), (),
                             ("vu", "uw", "ux", "xy", "yz", "zu"),
-                            ("u", "y"), {"edge": "endpoint"}, _COVER),
+                            ("u", "y"), {"edge": "endpoint"}, _COVER, 3),
 }
 
 
@@ -260,17 +252,24 @@ def min_vertex_cover(g: Graph) -> tuple[int, ...]:
     return tuple(range(g.n))
 
 
+def _check_source_size(kind: GadgetKind, n: int) -> None:
+    """Raise SizeCapError if check_reduction refuses an n-vertex source of
+    this kind; cheap, so a caller can ask before it builds the source."""
+    cap = _LAYOUT[kind].cap
+    if n > cap:
+        raise SizeCapError(f"source too large for {kind.value} check (cap n<={cap})")
+
+
 def check_reduction(g: Graph, kind: GadgetKind,
                     partition: SplitPartition | None = None) -> ReductionReport:
     """Compare both sides of a gadget identity with the exact oracle.
 
-    Size caps keep the brute force affordable; exceeding one raises
-    SizeCapError. A SPLIT partition with an empty independent part raises
-    ValueError: the identity semitotal_h = gamma_g + 2 does not hold there.
+    A size cap per kind keeps the brute force affordable; a larger source
+    raises SizeCapError before anything is built. A SPLIT partition with an
+    empty independent part raises ValueError: the identity
+    semitotal_h = gamma_g + 2 does not hold there.
     """
-    cap = ORACLE_CAPS[kind.value]
-    if g.n > cap or (kind is GadgetKind.APX and g.m > APX_EDGE_CAP):
-        raise SizeCapError(f"source too large for {kind.value} check (cap n<={cap})")
+    _check_source_size(kind, g.n)
     go = build_gadget(g, kind, partition)
     if kind is GadgetKind.SPLIT and not partition.independent:
         raise ValueError("split check needs a nonempty independent part: "

@@ -147,7 +147,7 @@ class TestReduce:
                 "--seed", "4", "--output", str(g))
         code, doc = run_cli("reduce", "--kind", "split", "--input", str(g),
                             "--output", str(tmp_path / "h.txt"))
-        assert code == 1
+        assert code == 1 and doc["error"] == "--kind split requires --partition"
         code, doc = run_cli("reduce", "--kind", "split", "--input", str(g),
                             "--partition", str(tmp_path / "s.txt.partition"),
                             "--output", str(tmp_path / "h.txt"))
@@ -177,6 +177,13 @@ class TestCheckReduction:
         code, doc = run_cli("check-reduction", "--kind", "bipartite",
                             "--input", str(g))
         assert code == 4 and doc["kind"] == "size-cap"
+
+    def test_split_input_needs_partition(self, tmp_path):
+        g = tmp_path / "s.txt"
+        run_cli("gen", "--family", "split", "--clique", "2", "--ind", "2",
+                "--output", str(g))
+        code, doc = run_cli("check-reduction", "--kind", "split", "--input", str(g))
+        assert code == 1 and doc["error"] == "--kind split requires --partition"
 
 
 class TestBenchAndErrors:
@@ -288,6 +295,30 @@ class TestInProcess:
         error = ("--algo interval requires --format intervals"
                  if (algo, fmt) == ("interval", "edgelist") else "graph is empty")
         assert code == 1 and doc == {"error": error, "kind": "invalid-input"}
+
+    @pytest.mark.parametrize("argv, kind, cap", [
+        (["--kind", "split", "--clique", "2000", "--ind", "2"], "SPLIT", 6),
+        (["--kind", "gp4", "--size", "6000"], "GP4", 4),
+        # the cap comes before the generator's own checks
+        (["--kind", "gp4", "--size", "6000", "--p", "2"], "GP4", 4),
+    ])
+    def test_oversized_generated_source_exits_4_before_it_is_built(self, capsys,
+                                                                  monkeypatch, argv,
+                                                                  kind, cap):
+        def generate(*args):
+            raise AssertionError("the source was generated")
+        monkeypatch.setattr("semidom.generators.gen_split_graph", generate)
+        monkeypatch.setattr("semidom.generators.gen_connected_graph", generate)
+        assert cli.main(["check-reduction", *argv]) == 4
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "error": "source too large for {kind} check (cap n<={cap})",\n'
+            '  "kind": "size-cap"\n'
+            "}\n")
+
+    def test_gadget_kinds_are_the_gadget_enum(self):
+        from semidom.reductions import GadgetKind
+        assert cli.GADGET_KINDS == tuple(k.value.lower() for k in GadgetKind)
 
     def test_huge_vertex_count_exits_1(self, tmp_path, capsys):
         f = tmp_path / "g.txt"

@@ -329,6 +329,19 @@ class TestBfsDistance:
         with pytest.raises(ValueError):
             bfs_distance(P4, 0, 7)
 
+    def test_first_invalid_vertex_is_named(self):
+        with pytest.raises(ValueError, match="vertex 7 out of range"):
+            bfs_distance(P4, 7, 9)
+
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, g):
+        adj = oracles.adjacency(g.n, g.edges)
+        for u in range(g.n):
+            dist = oracles.bfs_all(adj, u)
+            assert [bfs_distance(g, u, v) for v in range(g.n)] == [
+                dist.get(v, math.inf) for v in range(g.n)]
+
     @given(graphs())
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_triangle_inequality(self, g):
@@ -356,6 +369,10 @@ class TestNeighborhoodWithin:
         with pytest.raises(ValueError):
             neighborhood_within(P5, 0, -1)
 
+    def test_vertex_is_checked_before_radius(self):
+        with pytest.raises(ValueError, match="vertex 9 out of range"):
+            neighborhood_within(P5, 9, -1)
+
     @given(graphs())
     @settings(max_examples=100, deadline=None)
     def test_radius1_is_closed_neighborhood(self, g):
@@ -365,9 +382,11 @@ class TestNeighborhoodWithin:
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_bfs(self, g):
+        adj = oracles.adjacency(g.n, g.edges)
         for v in range(g.n):
+            dist = oracles.bfs_all(adj, v)
             for r in (0, 1, 2, 3):
-                want = tuple(u for u in range(g.n) if bfs_distance(g, v, u) <= r)
+                want = tuple(sorted(u for u, d in dist.items() if d <= r))
                 assert neighborhood_within(g, v, r) == want
 
     @given(graphs())
@@ -391,6 +410,15 @@ class TestIsConnected:
 
     def test_single_vertex(self):
         assert is_connected(Graph(1))
+
+    def test_empty_graph(self):
+        assert is_connected(Graph(0))
+
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, g):
+        reached = oracles.bfs_all(oracles.adjacency(g.n, g.edges), 0)
+        assert is_connected(g) == (len(reached) == g.n)
 
     def test_components(self):
         assert connected_components(TWO_EDGES) == [[0, 1], [2, 3]]

@@ -383,6 +383,22 @@ class TestCheckReduction:
         with pytest.raises(SizeCapError):
             check_reduction(gen_named("path", 9), GadgetKind.BIPARTITE)
 
+    @pytest.mark.parametrize("kind, cap, source", [
+        (GadgetKind.GP4, 4, (gen_named("path", 4), None)),
+        (GadgetKind.BIPARTITE, 4, (gen_named("path", 4), None)),
+        (GadgetKind.SPLIT, 6, gen_split_graph(3, 3, 0.5, 0)),
+        (GadgetKind.LN, 6, (gen_named("path", 6), None)),
+        (GadgetKind.APX, 3, (gen_named("cycle", 3), None)),  # the triangle: m = 3
+    ])
+    def test_size_cap_per_kind(self, kind, cap, source):
+        g, part = source
+        assert g.n == cap
+        assert check_reduction(g, kind, part).holds
+        # one vertex more is refused first, before even the missing partition
+        with pytest.raises(SizeCapError) as exc:
+            check_reduction(gen_named("path", cap + 1), kind)
+        assert str(exc.value) == f"source too large for {kind.value} check (cap n<={cap})"
+
     def test_min_vertex_cover_examples(self):
         assert min_vertex_cover(P3) == (1,)
         assert min_vertex_cover(Graph(3)) == ()
