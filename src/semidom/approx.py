@@ -11,16 +11,15 @@ a 2 + 3 ln(Δ+1) guarantee.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 from .domination import DominationKind, ViolationReason, check_no_isolated, verify
+from ._record import Record
 from .graph import Graph, check_vertex_set, closed_masks, is_connected
 
 
-@dataclass(frozen=True)
-class SetCoverInstance:
+class SetCoverInstance(Record):
     """Universe X plus the family of owned candidate sets (empty sets dropped)."""
 
+    __slots__ = ("universe", "family", "max_set_size")
     universe: tuple[int, ...]
     family: tuple[tuple[int, tuple[int, ...]], ...]  # (owner, members)
     max_set_size: int

@@ -12,14 +12,13 @@ import functools
 import json
 import sys
 import time
-from pathlib import Path
 
 from .approx import approx_semitotal
 from .domination import DominationKind, exact_min, verify
 from .errors import InfeasibleError, SizeCapError
-from .formats import (parse_edgelist, parse_intervals, parse_partition,
-                      parse_vertex_set, write_edgelist, write_intervals,
-                      write_partition)
+from .formats import (edgelist_header, parse_edgelist, parse_intervals,
+                      parse_partition, parse_vertex_set, write_edgelist,
+                      write_intervals, write_partition)
 from .graph import Graph, SplitPartition
 from .intervals import IntervalModel, intersection_edge_count, intersection_graph
 from .interval_solver import solve_interval
@@ -48,7 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # every parser splits lines with str.splitlines, which also ends a line
+    # at \r\n and \r, so the decoded bytes give the lines a text-mode read
+    # would, without its newline translation
+    with open(path, "rb") as f:
+        return f.read().decode("utf-8")
 
 
 def _load_instance(args) -> Graph | IntervalModel:
@@ -58,9 +61,10 @@ def _load_instance(args) -> Graph | IntervalModel:
     return parse_edgelist(text)
 
 
-def _load_gadget_source(args) -> tuple[Graph, SplitPartition | None]:
-    """The --input graph, and with --kind split its --partition."""
-    g = parse_edgelist(_read(args.input))
+def _load_gadget_source(args, text: str) -> tuple[Graph, SplitPartition | None]:
+    """The graph of `text`, read from --input, and with --kind split its
+    --partition."""
+    g = parse_edgelist(text)
     if args.kind != "split":
         return g, None
     if not args.partition:
@@ -129,8 +133,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_reduce(args) -> tuple[dict, int]:
+    from pathlib import Path
     from .reductions import GadgetKind, build_gadget
-    g, partition = _load_gadget_source(args)
+    g, partition = _load_gadget_source(args, _read(args.input))
     go = build_gadget(g, GadgetKind[args.kind.upper()], partition)
     out = Path(args.output)
     out.write_text(write_edgelist(go.h), encoding="utf-8")
@@ -156,10 +161,12 @@ def _cmd_check_reduction(args) -> tuple[dict, int]:
     from .generators import gen_connected_graph, gen_split_graph
     from .reductions import GadgetKind, _check_source_size, check_reduction
     kind = GadgetKind[args.kind.upper()]
-    # a generated source is refused before it is built, so an oversized
-    # request costs nothing
+    # a source is refused before it is built, so an oversized request costs
+    # nothing: a file from its header, before any edge line is parsed
     if args.input:
-        g, partition = _load_gadget_source(args)
+        text = _read(args.input)
+        _check_source_size(kind, edgelist_header(text)[0])
+        g, partition = _load_gadget_source(args, text)
     elif kind is GadgetKind.SPLIT:
         if args.clique is None or args.ind is None:
             raise ValueError("split check needs --clique and --ind (or --input)")
@@ -181,6 +188,7 @@ def _cmd_check_reduction(args) -> tuple[dict, int]:
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
+    from pathlib import Path
     from .generators import (gen_connected_graph, gen_interval_model, gen_named,
                              gen_split_graph)
     out = Path(args.output)

@@ -15,8 +15,7 @@ differential reference.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import InfeasibleError, SizeCapError
 from .graph import (Graph, _distance2_from_closed, check_vertex_set, closed_masks,
                     connected_components, open_masks)
@@ -38,8 +37,8 @@ class ViolationReason(enum.Enum):
     NOT_TOTALLY_DOMINATED = "NOT_TOTALLY_DOMINATED"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = ("valid", "violations")
     valid: bool
     violations: tuple[tuple[int, ViolationReason], ...]
 

@@ -10,6 +10,7 @@ hold two labelled lines, `clique ...ids` and `independent ...ids`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .graph import Graph, SplitPartition
@@ -27,31 +28,41 @@ _MAX_VERTICES = 10**6
 _MAX_EXPONENT = 4300
 
 
-def _data_lines(text: str) -> list[list[str]]:
-    out = []
+def _data_lines(text: str) -> Iterator[list[str]]:
+    """The tokens of each line that is neither blank nor a comment, in order."""
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(line.split())
-    return out
+        if line and not line.startswith("#"):
+            yield line.split()
 
 
-def parse_edgelist(text: str) -> Graph:
-    lines = _data_lines(text)
-    if not lines:
+def _edgelist_header(lines: Iterator[list[str]]) -> tuple[int, int]:
+    head = next(lines, None)
+    if head is None:
         raise ValueError("empty edge-list file")
-    head = lines[0]
     if len(head) != 2:
         raise ValueError(f"expected header 'n m', got {' '.join(head)!r}")
     n, m = int(head[0]), int(head[1])
     if n > _MAX_VERTICES:
         raise ValueError(f"edge list declares {n} vertices, more than the "
                          f"limit of {_MAX_VERTICES}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+    return n, m
+
+
+def edgelist_header(text: str) -> tuple[int, int]:
+    """The `n m` header of an edge list, checked as parse_edgelist checks
+    it, without parsing any edge line."""
+    return _edgelist_header(_data_lines(text))
+
+
+def parse_edgelist(text: str) -> Graph:
+    lines = _data_lines(text)
+    n, m = _edgelist_header(lines)
+    body = list(lines)
+    if len(body) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(body)}")
     edges = []
-    for parts in lines[1:]:
+    for parts in body:
         if len(parts) != 2:
             raise ValueError(f"malformed edge line: {' '.join(parts)!r}")
         u, v = int(parts[0]), int(parts[1])
@@ -96,7 +107,7 @@ def _format_number(x) -> str:
 
 
 def parse_intervals(text: str) -> IntervalModel:
-    lines = _data_lines(text)
+    lines = list(_data_lines(text))
     if not lines:
         raise ValueError("empty interval file")
     if len(lines[0]) != 1:

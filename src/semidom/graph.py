@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import Iterable, Iterator
+
+from ._record import Record
 
 
 class Graph:
@@ -246,10 +247,10 @@ def _distance2_from_closed(g: Graph, closed: list[int]) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(Record):
     """Partition of a graph's vertices into a clique and an independent set."""
 
+    __slots__ = ("clique", "independent")
     clique: tuple[int, ...]
     independent: tuple[int, ...]
 

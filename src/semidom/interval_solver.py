@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .errors import InfeasibleError
 from .intervals import IntervalModel, canonicalize_intervals
 
@@ -48,8 +48,7 @@ class ArcClass(enum.Enum):
     A2_UNMARKED = "A2_UNMARKED"
 
 
-@dataclass(frozen=True)
-class OverlapDigraph:
+class OverlapDigraph(Record):
     """Acyclic digraph on non-contained intervals plus sentinels.
 
     `intervals` holds n+2 entries: index 0 and n+1 are the sentinels, and
@@ -57,6 +56,7 @@ class OverlapDigraph:
     (i, j, arc_class) with i < j.
     """
 
+    __slots__ = ("intervals", "vertices", "arcs")
     intervals: tuple[tuple[int, int], ...]
     vertices: tuple[int, ...]
     arcs: tuple[tuple[int, int, ArcClass], ...]
@@ -66,8 +66,7 @@ class OverlapDigraph:
         return len(self.intervals) - 2
 
 
-@dataclass(frozen=True)
-class SplitDigraph:
+class SplitDigraph(Record):
     """0/1-weighted DAG obtained by splitting overlap-digraph vertices.
 
     Nodes are ("source",), ("sink",) and ("in", i)/("out", i) pairs for the
@@ -75,6 +74,7 @@ class SplitDigraph:
     (src, dst, length).
     """
 
+    __slots__ = ("interval_count", "nodes", "arcs")
     interval_count: int
     nodes: tuple[Node, ...]
     arcs: tuple[tuple[Node, Node, int], ...]

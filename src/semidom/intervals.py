@@ -11,18 +11,18 @@ graph, and sorts the intervals by left endpoint. A model is canonical when
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .graph import Graph
 
 Number = int | float | Fraction
 
 
-@dataclass(frozen=True)
-class IntervalModel:
+class IntervalModel(Record):
     """A family of closed intervals, indexed by vertex id."""
 
+    __slots__ = ("intervals",)
     intervals: tuple[tuple[Number, Number], ...]
 
     def __post_init__(self):

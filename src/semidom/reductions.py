@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-
+from ._record import Record
 from .domination import DominationKind, exact_min, verify
 from .errors import InfeasibleError, SizeCapError
 from .graph import Graph, SplitPartition, check_vertex_set, is_connected
@@ -43,33 +42,35 @@ class GadgetKind(enum.Enum):
     APX = "APX"
 
 
-@dataclass(frozen=True)
-class GadgetOutput:
+class GadgetOutput(Record):
+    __slots__ = ("h", "kind", "roles", "source_size", "source_edges", "partition")
+    _defaults = {"partition": None}
     h: Graph
     kind: GadgetKind
     roles: dict[int, Role]
     source_size: int
     source_edges: tuple[tuple[int, int], ...]
-    partition: SplitPartition | None = None
+    partition: SplitPartition | None
 
     def vertices_with_tag(self, tag: str) -> list[int]:
         return sorted(v for v, role in self.roles.items() if role[0] == tag)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Record):
+    __slots__ = ("kind", "holds", "details")
     kind: GadgetKind
     holds: bool
     details: dict[str, int]
 
 
-@dataclass(frozen=True)
-class _Source:
+class _Source(Record):
     """The source problem of a reduction."""
 
+    __slots__ = ("key", "name", "measure")
+    _defaults = {"measure": None}
     key: str  # check_reduction details key of its optimum
     name: str  # for extend_solution's error message
-    measure: DominationKind | None = None  # None: vertex cover
+    measure: DominationKind | None  # None: vertex cover
 
     def solved_by(self, g: Graph, members: set[int]) -> bool:
         if self.measure is None:
@@ -87,8 +88,7 @@ _DOMINATING = _Source("gamma_g", "a dominating set", DominationKind.DOMINATING)
 _COVER = _Source("tau_g", "a vertex cover")
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record):
     """Where one kind's gadget vertices sit, how they are wired and lifted.
 
     After the source vertices come one block per tag in `blocks` (one
@@ -98,6 +98,7 @@ class _Layout:
     edge between two singles is one edge.
     """
 
+    __slots__ = ("blocks", "singles", "edges", "lift", "project", "source", "cap")
     blocks: tuple[str, ...]
     singles: tuple[str, ...]
     edges: tuple[str, ...]

@@ -225,8 +225,8 @@ class TestColdStart:
     package loads on first use. Each check runs in a fresh interpreter."""
 
     @staticmethod
-    def run_child(code: str) -> dict:
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    def run_child(code: str, *flags: str) -> dict:
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                               text=True, env=CHILD_ENV, check=True)
         return json.loads(proc.stdout)
 
@@ -237,16 +237,19 @@ class TestColdStart:
         spec.loader.exec_module(spans)
         f = tmp_path / "c4.txt"
         f.write_text("4 4\n0 1\n0 3\n1 2\n2 3\n")
+        # -S: site may load typing itself
         doc = self.run_child(
             "import contextlib, io, json, sys\n"
             "import semidom.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             f"    code = semidom.cli.main(['solve', '--algo', 'exact', '--input', {str(f)!r}])\n"
             "print(json.dumps({'code': code, 'answer': json.loads(out.getvalue()),\n"
-            "                  'modules': sorted(sys.modules)}))\n")
+            "                  'modules': sorted(sys.modules)}))\n", "-S")
         assert doc["code"] == 0 and doc["answer"]["set"] == [0, 1]
         loaded = set(doc["modules"])
         assert not loaded & {"semidom.reductions", "semidom.generators"}
+        # records are slots classes, so none of these loads
+        assert not loaded & {"dataclasses", "inspect", "typing"}
         # a traced bench run looks each traced module up in sys.modules
         assert {f"semidom.{mod}" for mod, _ in spans.TRACED} <= loaded
 
@@ -315,6 +318,44 @@ class TestInProcess:
             f'  "error": "source too large for {kind} check (cap n<={cap})",\n'
             '  "kind": "size-cap"\n'
             "}\n")
+
+    @pytest.mark.parametrize("text, code, error", [
+        # the cap comes before the edge lines, of which the one here is malformed
+        ("5 1\n0 x\n", 4, "source too large for GP4 check (cap n<=4)"),
+        # and after the header's own checks, as parse_edgelist makes them
+        ("5\n0 x\n", 1, "expected header 'n m', got '5'"),
+        ("2000000 0\n", 1, "edge list declares 2000000 vertices, more than the "
+                           "limit of 1000000"),
+        ("# no data\n", 1, "empty edge-list file"),
+    ])
+    def test_oversized_input_source_exits_4_before_its_edges_are_parsed(
+            self, tmp_path, capsys, monkeypatch, text, code, error):
+        def parse(text):
+            raise AssertionError("the edge lines were parsed")
+        monkeypatch.setattr(cli, "parse_edgelist", parse)
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        assert cli.main(["check-reduction", "--kind", "gp4", "--input", str(f)]) == code
+        assert json.loads(capsys.readouterr().out)["error"] == error
+
+    def test_input_is_read_as_utf8_whatever_its_line_ends(self, tmp_path, capsys):
+        f = tmp_path / "c4.txt"
+        text = "# C4\n4 4\n0 1\n0 3\n1 2\n2 3\n"
+        docs = []
+        for ends in ("\n", "\r\n", "\r"):
+            f.write_bytes(text.replace("\n", ends).encode())
+            assert cli.main(["solve", "--algo", "exact", "--input", str(f)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["elapsedMs"]
+            docs.append(doc)
+        assert docs[0] == docs[1] == docs[2] and docs[0]["set"] == [0, 1]
+        f.write_bytes(b"4 4\n0 1\xff\n")
+        assert cli.main(["solve", "--algo", "exact", "--input", str(f)]) == 1
+        assert json.loads(capsys.readouterr().out)["kind"] == "invalid-input"
+        # a missing file is named as typed
+        missing = f"{tmp_path}/./missing.txt"
+        assert cli.main(["solve", "--algo", "exact", "--input", missing]) == 1
+        assert json.loads(capsys.readouterr().out)["error"].endswith(f"{missing!r}")
 
     def test_gadget_kinds_are_the_gadget_enum(self):
         from semidom.reductions import GadgetKind

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from semidom import formats
-from semidom.formats import (parse_edgelist, parse_intervals, parse_partition,
-                             parse_vertex_set, write_edgelist, write_intervals,
-                             write_partition)
+from semidom.formats import (edgelist_header, parse_edgelist, parse_intervals,
+                             parse_partition, parse_vertex_set, write_edgelist,
+                             write_intervals, write_partition)
 from semidom.graph import Graph, SplitPartition
 from semidom.intervals import IntervalModel, intersection_graph
 
@@ -49,6 +49,18 @@ class TestEdgelist:
         assert parse_edgelist("10 1\n0 9\n") == Graph(10, [(0, 9)])
         with pytest.raises(ValueError, match=r"^edge list declares 11 vertices"):
             parse_edgelist("11 0\n")
+
+    @pytest.mark.parametrize("text", ["# nothing\n", "3\n0 1\n", "3 1 1\n",
+                                      "x 1\n", "2000000 0\n"])
+    def test_header_fails_as_the_parser_does(self, text):
+        with pytest.raises(ValueError) as parsed:
+            parse_edgelist(text)
+        with pytest.raises(ValueError) as header:
+            edgelist_header(text)
+        assert str(header.value) == str(parsed.value)
+
+    def test_header_reads_no_edge_line(self):
+        assert edgelist_header("# c\n\n 5 2 \n0 x\n") == (5, 2)
 
 
 class TestIntervals:
