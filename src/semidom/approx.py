@@ -29,18 +29,26 @@ def _greedy_cover(uncovered: int, family) -> list[int]:
     """Greedy cover of the `uncovered` bits by (owner, mask) pairs given in
     ascending owner order: owners in selection order, the most newly covered
     bits first, the smallest owner on ties. Raises ValueError when no owner
-    covers a bit that is left."""
+    covers a bit that is left.
+
+    Uncovered bits only go away, so an owner whose mask misses them all can
+    never gain again: each scan keeps only the owners that still gain, in
+    the same ascending order, and the next pick scans those alone."""
     chosen: list[int] = []
     while uncovered:
-        best, best_mask, best_gain = None, 0, 0
-        for owner, mask in family:
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best, best_mask, best_gain = owner, mask, gain
+        best, best_gain = None, 0
+        live = []
+        for pair in family:
+            gain = (pair[1] & uncovered).bit_count()
+            if gain:
+                live.append(pair)
+                if gain > best_gain:
+                    best, best_gain = pair, gain
         if not best_gain:
             raise ValueError("family does not cover the universe")
-        chosen.append(best)
-        uncovered ^= uncovered & best_mask
+        chosen.append(best[0])
+        uncovered ^= uncovered & best[1]
+        family = live
     return chosen
 
 

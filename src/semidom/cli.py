@@ -228,9 +228,11 @@ def _cmd_gen(args) -> tuple[dict, int]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call
-    of `main`; parsing keeps no state in it."""
+    of `main`; parsing keeps no state in it. Its `commands` maps each
+    subcommand name to that subcommand's parser."""
     parser = _Parser(prog="semidom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("solve", help="solve a semitotal domination instance")
     p.add_argument("--algo", choices=("exact", "interval", "approx"), required=True)
@@ -281,9 +283,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with the same result, output and
+    exit. When argv starts with a subcommand, that subcommand's parser takes
+    the rest directly: the top-level parser's walk would only forward them."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h or --help, or an unknown command
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         doc, code = args.func(args)
     except InfeasibleError as exc:

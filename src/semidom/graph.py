@@ -82,6 +82,11 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
+    def __reduce__(self):
+        # pickle and copy rebuild the graph from its edges, so every pickle
+        # protocol works and a loaded graph passes the edge checks again
+        return type(self), (self.n, self.sorted_edges())
+
 
 def _checked_rows(n: int, edges: Iterable) -> list[list[int]]:
     """The sorted adjacency rows of n vertices and the given edges, or the

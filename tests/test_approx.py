@@ -6,9 +6,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semidom.approx import (SetCoverInstance, algo_dom_set, approx_semitotal,
-                            build_semitotal_setcover, greedy_dominating_set,
-                            greedy_set_cover)
+from semidom.approx import (SetCoverInstance, _greedy_cover, algo_dom_set,
+                            approx_semitotal, build_semitotal_setcover,
+                            greedy_dominating_set, greedy_set_cover)
 from semidom.domination import DominationKind, exact_min, verify
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_connected_graph, gen_named
@@ -297,3 +297,27 @@ def test_setcover_build_scales_on_long_path():
     assert len(inst.universe) == 4000
     assert elapsed < 2.0, elapsed
     assert peak < 8 * 2**20, peak
+
+
+class TestAgainstReferenceAtBenchScale:
+    """Both greedy phases against the references on the graph-approx
+    workload's graphs and on large named families: dropping spent owners
+    leaves every pick and tie-break as it was."""
+
+    @pytest.mark.parametrize("g", [
+        *(pytest.param(gen_connected_graph(800, 3 / 800, s), id=f"random-800-{s}")
+          for s in range(3)),
+        pytest.param(gen_named("path", 2000), id="path-2000"),
+        pytest.param(gen_named("star", 300), id="star-300"),
+        pytest.param(gen_named("complete", 60), id="complete-60"),
+    ])
+    def test_named_and_bench_graphs(self, g):
+        edges = g.sorted_edges()
+        assert_matches_reference(g.n, edges, oracles.ref_greedy_dominating_set(g.n, edges))
+
+    def test_owner_spent_while_bits_remain(self):
+        # owner 1's only bit goes with owner 0's pick, and bit 2 is left
+        family = [(0, 0b011), (1, 0b001)]
+        assert _greedy_cover(0b011, family) == [0]
+        with pytest.raises(ValueError, match="^family does not cover the universe$"):
+            _greedy_cover(0b111, family)

@@ -287,6 +287,33 @@ class TestInProcess:
             assert exc.value.code == code
         assert cli.build_parser.cache_info().misses == 1
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["nope"], ["solve"], ["solve", "--help"], ["solve", "--nonsense"],
+        ["solve", "--algo", "nope", "--input", "x"],
+        # the subcommand takes its own arguments; the one left over is the
+        # top-level parser's error, with its usage line
+        ["solve", "--algo", "exact", "--input", "x", "--nonsense"],
+    ])
+    def test_parse_exits_as_the_full_parser(self, capsys, argv):
+        outcomes = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            out = capsys.readouterr()
+            outcomes.append((exc.value.code, out.out, out.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if "--help" in argv else 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "exact", "--input", "g.txt"],
+        ["verify", "--format", "intervals", "--input", "m", "--set", "s", "--kind", "dom"],
+        ["reduce", "--kind", "ln", "--input", "g", "--output", "h"],
+        ["check-reduction", "--kind", "gp4", "--size", "3"],
+        ["gen", "--family", "path", "--output", "o", "--size", "7"],
+    ])
+    def test_parse_gives_the_full_parsers_namespace(self, argv):
+        assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+
     @pytest.mark.parametrize("fmt, text", [("edgelist", "0 0\n"), ("intervals", "0\n")])
     @pytest.mark.parametrize("algo", ["exact", "interval", "approx"])
     def test_empty_instance_exits_1_with_one_message(self, tmp_path, capsys, algo, fmt, text):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from collections import namedtuple
@@ -59,6 +61,18 @@ class TestGraphConstruction:
         assert g.neighbors(0) == (1, 2, 3)
         for u, v in g.edges:
             assert u in g.neighbors(v) and v in g.neighbors(u)
+
+    @pytest.mark.parametrize("g", [Graph(0), Graph(3), C4, TWO_EDGES,
+                                   intersection_graph(gen_interval_model(40, 3))])
+    def test_pickle_and_copy_round_trip(self, g):
+        g.edges  # a cached edge set travels as the edges it holds
+        clones = [pickle.loads(pickle.dumps(g, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones + [copy.copy(g), copy.deepcopy(g)]:
+            assert type(clone) is Graph and clone is not g and clone == g
+            assert (clone.n, clone.m, clone.edges) == (g.n, g.m, g.edges)
+            assert [clone.neighbors(v) for v in range(g.n)] == [g.neighbors(v)
+                                                                for v in range(g.n)]
 
 
 Edge = namedtuple("Edge", "u v")

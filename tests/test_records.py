@@ -104,9 +104,8 @@ def test_record_behaves_as_a_frozen_dataclass(record, text, golden_hash, change)
         delattr(record, names[0])
     assert getattr(record, names[0]) is values[0]
 
-    # protocols 0 and 1 cannot store the slots of GadgetOutput's Graph
     clones = [pickle.loads(pickle.dumps(record, protocol))
-              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for clone in clones + [copy.deepcopy(record), copy.copy(record)]:
         assert type(clone) is cls and clone == record and repr(clone) == text
     deep = copy.deepcopy(record)  # copies the mutable fields too
