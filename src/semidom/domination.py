@@ -51,7 +51,10 @@ def verify(g: Graph, s, kind: DominationKind) -> VerificationReport:
     not dominated. Members v and w are within distance 2 exactly when N[v]
     and N[w] meet, so a member has a partner iff some vertex of N[v] is
     covered twice. O(n + sum of deg v over v in s) time, O(n) memory.
+    Raises ValueError for a kind that is not a DominationKind.
     """
+    if not isinstance(kind, DominationKind):
+        raise ValueError(f"unknown domination kind {kind!r}")
     members = check_vertex_set(g, s)
     total = kind is DominationKind.TOTAL
     adj = g._adj  # members are validated, so their rows are read directly
@@ -118,15 +121,16 @@ def exact_min(g: Graph, kind: DominationKind,
       members from a part of the `allowed` of c's branch. That branch has
       failed, so only failing subtrees are skipped and every answer and
       tie-break stays the same.
-    - It prunes by three lower bounds: a packing of items (undominated
-      vertices, then lonely members) with pairwise disjoint candidate sets,
-      each of which needs its own new member; for SEMITOTAL, a coverage
-      bound (a new member with no member within distance 2 shares a vertex
-      it dominates with another new member); and the number of lonely
-      members one new member can pair. Each bound's scan stops as soon as
-      it can no longer prune (or, away from the root, as soon as the
-      packing exceeds r), so a node costs less without changing which
-      nodes the search visits.
+    - One loop scans every item, undominated vertices and then lonely
+      members, for the candidate sets, the most constrained item, the
+      forced members and the packing.
+    - It prunes by two lower bounds: the packing of items with pairwise
+      disjoint candidate sets, each of which needs its own new member; and,
+      for SEMITOTAL, a coverage bound (a new member with no member within
+      distance 2 shares a vertex it dominates with another new member).
+      Each bound's scan stops as soon as it can no longer prune (or, away
+      from the root, as soon as the packing exceeds r), so a node costs
+      less without changing which nodes the search visits.
 
     1. Size: k* is the smallest k for which the search from the empty set
        succeeds; its answer is a first optimum.
@@ -144,12 +148,14 @@ def exact_min(g: Graph, kind: DominationKind,
        above u, so u's failed search at position j already ruled that set
        out. A chosen member never enters the list, since it did not fail.
 
-    Raises ValueError for an empty graph, InfeasibleError when an isolated
-    vertex makes TOTAL/SEMITOTAL impossible, and SizeCapError once the
-    searches of all components together visit more than max_nodes search
-    nodes (default: unbounded) or a component needs more than
-    _MAX_MEMBERS (500) members.
+    Raises ValueError for a kind that is not a DominationKind or an empty
+    graph, InfeasibleError when an isolated vertex makes TOTAL/SEMITOTAL
+    impossible, and SizeCapError once the searches of all components
+    together visit more than max_nodes search nodes (default: unbounded) or
+    a component needs more than _MAX_MEMBERS (500) members.
     """
+    if not isinstance(kind, DominationKind):
+        raise ValueError(f"unknown domination kind {kind!r}")
     if g.n == 0:
         raise ValueError("graph is empty")
     if max_nodes is not None and max_nodes < 1:
@@ -184,16 +190,20 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
     partner = _distance2_from_closed(g, cover) if semitotal else None
     full = (1 << n) - 1
     need = 0
-    # the packing scans vertices by the size of their closed neighborhood,
-    # smallest (leaves) first, and so packs more sets; for TOTAL, plain id
-    # order packed more on GP4 gadgets
-    tiers = [full]
+    # feasible's items: undominated vertices, candidates from `cover`, then
+    # (SEMITOTAL) lonely members, candidates from `partner`. The packing
+    # scans vertices by the size of their closed neighborhood, smallest
+    # (leaves) first, and so packs more sets; for TOTAL, plain id order
+    # packed more on GP4 gadgets
+    scans = [(full, cover)]
     if kind is not DominationKind.TOTAL:
         by_size: dict[int, int] = {}
         for v in range(n):
             c = cover[v].bit_count()
             by_size[c] = by_size.get(c, 0) | 1 << v
-        tiers = [by_size[c] for c in sorted(by_size)]
+        scans = [(by_size[c], cover) for c in sorted(by_size)]
+    if semitotal:
+        scans.append((full, partner))
 
     def step_lonely(lonely: int, chosen: int, u: int) -> int:
         # lonely members once u joins `chosen`
@@ -241,20 +251,20 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
                     return chosen | low
                 m ^= low
             return 0
-        # most constrained item, and a packing of items whose remaining
-        # candidate sets are pairwise disjoint: undominated vertices here,
-        # lonely members below. Away from the root a packing larger than r
-        # ends the node at once; the root counts it in full for `need`.
+        # one scan over every item finds the most constrained one, the forced
+        # members and a packing of items with pairwise disjoint candidate
+        # sets. Away from the root a packing larger than r ends the node at
+        # once; the root, which has no lonely members, counts it in full.
         best, fewest = 0, n + 1
         forced = 0
         packed = used = reach = 0
         cap = r if chosen else n
-        for tier in tiers:
-            m = undom & tier
+        for tier, table in scans:
+            m = (lonely if table is partner else undom) & tier
             while m:
                 low = m & -m
                 m ^= low
-                cands = cover[low.bit_length() - 1] & allowed
+                cands = table[low.bit_length() - 1] & allowed
                 if not cands:
                     return 0
                 c = cands.bit_count()
@@ -277,7 +287,8 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
             # member, so with g1/g2 the largest gains of the two sorts, r
             # members dominate at most r * max(g1, g2 - 1/2) vertices. The
             # bound prunes iff 2|undom| > r * max(2 g1, 2 g2 - 1); the scan
-            # stops at the first gain that rules that out.
+            # stops at the first gain that rules that out (a lonely member's
+            # candidate that dominates nothing new has gain <= 0, so never).
             twice_undom = 2 * undom.bit_count()
             while reach:
                 low = reach & -reach
@@ -290,38 +301,6 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
                     break
             else:
                 return 0
-        if lonely:
-            reach = 0
-            m = lonely
-            while m:
-                low = m & -m
-                m ^= low
-                cands = partner[low.bit_length() - 1] & allowed
-                if not cands:
-                    return 0
-                c = cands.bit_count()
-                if c < fewest:
-                    best, fewest = cands, c
-                if c == 1:
-                    forced |= cands
-                if not cands & used:  # the packing goes on over lonely members
-                    packed += 1
-                    if packed > r:
-                        return 0
-                    used |= cands
-                reach |= cands
-            # each new member pairs at most `most` lonely members, so the
-            # bound prunes iff |lonely| > most * r; the scan stops at the
-            # first candidate that rules that out
-            count = lonely.bit_count()
-            if count > r:
-                while reach:
-                    low = reach & -reach
-                    reach ^= low
-                    if (partner[low.bit_length() - 1] & lonely).bit_count() * r >= count:
-                        break
-                else:
-                    return 0
         if forced:
             # every completion takes the only candidate of an item
             r -= forced.bit_count()

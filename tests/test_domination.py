@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
-                                exact_min, verify)
+                                _search, exact_min, verify)
 from semidom.errors import InfeasibleError, SizeCapError
 from semidom.generators import (SplitMix64, gen_connected_graph, gen_named,
                                 gen_split_graph)
@@ -22,6 +22,7 @@ SEMI = DominationKind.SEMITOTAL
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K_{1,3}, centre 0
 
 
 class TestVerify:
@@ -64,6 +65,14 @@ class TestVerify:
             verify(Graph(3), [1.0], DOM)
         with pytest.raises(ValueError, match=r"^vertex id '2' is not an integer$"):
             verify(P4, (0, "2", 9), SEMI)
+
+    def test_unknown_kind_rejected(self):
+        # read as DOMINATING, a string or None would pass the centre of
+        # K_{1,3} alone
+        assert not verify(STAR, [0], SEMI).valid
+        for kind in ("semitotal", None):
+            with pytest.raises(ValueError, match=rf"^unknown domination kind {kind!r}$"):
+                verify(STAR, [0], kind)
 
     def test_violations_enumerate_every_failure(self):
         report = verify(P5, (2,), SEMI)
@@ -176,6 +185,14 @@ class TestExactMin:
         with pytest.raises(ValueError):
             exact_min(Graph(0), DOM)
 
+    def test_unknown_kind_rejected(self):
+        # searched as DOMINATING, a string or None would give (0,) on
+        # K_{1,3}, whose semitotal optimum is (0, 1)
+        assert exact_min(STAR, SEMI) == (0, 1)
+        for kind in ("semitotal", None):
+            with pytest.raises(ValueError, match=rf"^unknown domination kind {kind!r}$"):
+                exact_min(STAR, kind)
+
     def test_matches_brute_force_including_tie_break(self):
         rng = SplitMix64(99)
         for trial in range(120):
@@ -277,11 +294,13 @@ class TestExactSearch:
     def test_bench_pool_search_tree_pinned(self):
         # nodes each pool graph's search visits, seed by seed; a change that
         # only makes nodes cheaper keeps every count, so update these only
-        # with a deliberate change to the tree
+        # with a deliberate change to the tree. SEMI s = 27, 28 and 36 took
+        # 118, 49 and 128 nodes with a bound on the number of lonely members
+        # one new member can pair; no other pool tree changed without it
         pins = {
             SEMI: (48, 54, 104, 95, 66, 133, 49, 46, 73, 82, 183, 55, 42, 55,
-                   60, 64, 37, 28, 38, 42, 24, 63, 70, 50, 31, 74, 31, 118, 49,
-                   30, 64, 41, 78, 52, 85, 49, 128, 29, 39),
+                   60, 64, 37, 28, 38, 42, 24, 63, 70, 50, 31, 74, 31, 121, 51,
+                   30, 64, 41, 78, 52, 85, 49, 136, 29, 39),
             DOM: (39, 38, 91, 62, 56, 44, 27, 35, 66, 27, 92, 45, 24, 28, 27,
                   32, 28, 18, 27, 46, 18, 35, 45, 34, 28, 41, 26, 41, 41, 23, 60,
                   38, 41, 38, 60, 34, 17, 18, 34),
@@ -303,7 +322,7 @@ class TestExactSearch:
                   21, 18, 41, 42, 31, 37, 36, 45, 53, 46, 37, 30, 53, 20, 21,
                   20, 29, 30, 22, 32, 43, 26, 41, 33),
         }
-        assert (sum(pins[SEMI]), max(pins[SEMI])) == (2459, 183)
+        assert (sum(pins[SEMI]), max(pins[SEMI])) == (2472, 183)
         assert (sum(parent[SEMI]), max(parent[SEMI])) == (2742, 215)
         for kind, counts in pins.items():
             assert all(c <= p for c, p in zip(counts, parent[kind])), kind
@@ -381,18 +400,20 @@ class TestExactSearch:
             assert_matches_lex_search(g.n, g.sorted_edges())
 
     def test_reach_at_n60_in_nodes(self):
-        # nodes each graph needs, with and without skipping the candidates
-        # that a failed sibling stands in for; a budget between the two
-        # solves now and ran out before
-        counts = {
-            (SEMI, 0): (13_477, 25_620), (SEMI, 1): (10_803, 10_809),
-            (SEMI, 2): (1_489, 1_944), (DOM, 0): (5_509, 25_954),
-            (DOM, 1): (9_028, 13_069), (DOM, 2): (1_027, 2_681),
-        }
-        for (kind, s), (now, parent) in counts.items():
+        # nodes each graph's search visits, seed by seed; for SEMI and DOM
+        # also the nodes it needed before a failed sibling stood in for
+        # later candidates, which no graph may exceed
+        nodes = {SEMI: (13_467, 10_800, 1_483), DOM: (5_412, 8_971, 997),
+                 TOT: (1_619, 2_449, 1_609)}
+        before = {SEMI: (25_620, 10_809, 1_944), DOM: (25_954, 13_069, 2_681)}
+        for kind, counts in before.items():
+            assert all(c <= b for c, b in zip(nodes[kind], counts)), kind
+        for s in range(3):
             g = gen_connected_graph(60, 0.08, s)
-            budget = (now + parent) // 2
-            assert exact_min(g, kind, max_nodes=budget) == exact_min(g, kind), (kind, s)
+            for kind, counts in nodes.items():
+                found, spent = _search(g, kind, None, 0)
+                assert spent == counts[s], (kind, s)
+                assert exact_min(g, kind, max_nodes=spent) == found, (kind, s)
 
     def test_components_are_searched_one_at_a_time(self):
         # searched as one instance, this 90-vertex union passes 10^5 nodes
