@@ -22,8 +22,7 @@ from .graph import (Graph, SplitPartition, bfs_distance, connected_components,
 from .intervals import IntervalModel, canonicalize_intervals, intersection_graph
 from .interval_solver import (ArcClass, OverlapDigraph, SplitDigraph,
                               build_overlap_digraph, build_split_digraph,
-                              contains_all, shortest_constrained_path,
-                              solve_interval)
+                              shortest_constrained_path, solve_interval)
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,7 @@ __all__ = [
     "SplitPartition", "VerificationReport", "ViolationReason", "algo_dom_set",
     "approx_semitotal", "bfs_distance", "build_gadget", "build_overlap_digraph",
     "build_semitotal_setcover", "build_split_digraph", "canonicalize_intervals",
-    "check_reduction", "connected_components", "contains_all", "exact_min",
+    "check_reduction", "connected_components", "exact_min",
     "extend_solution", "extract_solution", "gen_connected_graph",
     "gen_interval_model", "gen_named", "gen_split_graph",
     "greedy_dominating_set", "greedy_set_cover", "intersection_graph",

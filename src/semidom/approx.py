@@ -115,10 +115,7 @@ def approx_semitotal(g: Graph) -> tuple[int, ...]:
     """
     check_no_isolated(g)
     d = greedy_dominating_set(g)
-    inst = build_semitotal_setcover(g, d)
-    if not inst.universe:
-        return d
-    t = greedy_set_cover(inst)
+    t = greedy_set_cover(build_semitotal_setcover(g, d))
     return tuple(sorted(set(d) | set(t)))
 
 

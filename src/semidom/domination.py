@@ -105,13 +105,13 @@ def exact_min(g: Graph, kind: DominationKind,
       first, smallest id on ties.
     - Items left with a single candidate take it at once.
     - Away from the root, a node with one member left (r == 1) does not
-      branch: the new member must lie in `allowed` and in the candidate set
-      of every undominated vertex and lonely member and, for SEMITOTAL,
-      have a chosen member within distance 2. It returns the smallest such
-      member, or fails. Every such member dominates all undominated
-      vertices, so the branching would try them in id order and return the
-      same one; the bounds and forced members reject only nodes where none
-      exists.
+      branch: the new member must lie in the candidate set of every
+      undominated vertex and lonely member, which the item scan
+      intersects, and, for SEMITOTAL, have a chosen member within
+      distance 2. It returns the smallest such member, or fails. Every
+      such member dominates all undominated vertices, so the branching
+      would try them in id order and return the same one; the bounds and
+      forced members reject only nodes where none exists.
     - A later candidate u is skipped when a failed sibling c stands in for
       it: c dominates every undominated vertex that u dominates and, for
       SEMITOTAL, has within distance 2 every vertex other than c that u
@@ -123,7 +123,8 @@ def exact_min(g: Graph, kind: DominationKind,
       tie-break stays the same.
     - One loop scans every item, undominated vertices and then lonely
       members, for the candidate sets, the most constrained item, the
-      forced members and the packing.
+      forced members, the members common to every candidate set and the
+      packing.
     - It prunes by two lower bounds: the packing of items with pairwise
       disjoint candidate sets, each of which needs its own new member; and,
       for SEMITOTAL, a coverage bound (a new member with no member within
@@ -233,31 +234,15 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
             return chosen
         if r == 0:
             return 0
-        if r == 1 and chosen:
-            # the one member left settles every item or the node fails; the
-            # smallest that does is what the branching would return
-            m = allowed
-            while undom and m:
-                low = undom & -undom
-                undom ^= low
-                m &= cover[low.bit_length() - 1]
-            while lonely and m:
-                low = lonely & -lonely
-                lonely ^= low
-                m &= partner[low.bit_length() - 1]
-            while m:
-                low = m & -m
-                if not semitotal or partner[low.bit_length() - 1] & chosen:
-                    return chosen | low
-                m ^= low
-            return 0
         # one scan over every item finds the most constrained one, the forced
-        # members and a packing of items with pairwise disjoint candidate
-        # sets. Away from the root a packing larger than r ends the node at
-        # once; the root, which has no lonely members, counts it in full.
+        # members, the members that settle every item (`common`) and a
+        # packing of items with pairwise disjoint candidate sets. Away from
+        # the root a packing larger than r ends the node at once; the root,
+        # which has no lonely members, counts it in full.
         best, fewest = 0, n + 1
         forced = 0
         packed = used = reach = 0
+        common = allowed
         cap = r if chosen else n
         for tier, table in scans:
             m = (lonely if table is partner else undom) & tier
@@ -278,8 +263,18 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
                         return 0
                     used |= cands
                 reach |= cands
+                common &= cands
         if packed > r:  # only at the root: no size below `packed` can succeed
             need = packed
+            return 0
+        if r == 1 and chosen:
+            # the one member left settles every item or the node fails; the
+            # smallest that does is what the branching would return
+            while common:
+                low = common & -common
+                if not semitotal or partner[low.bit_length() - 1] & chosen:
+                    return chosen | low
+                common ^= low
             return 0
         if semitotal and undom:
             # a new member u with no chosen member within distance 2 has N[u]

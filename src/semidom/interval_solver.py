@@ -80,20 +80,6 @@ class SplitDigraph(Record):
     arcs: tuple[tuple[Node, Node, int], ...]
 
 
-def contains_all(intervals: Sequence[tuple]) -> int | None:
-    """Index of the interval properly containing all others, if one exists."""
-    if len(intervals) <= 1:
-        return None
-    best = min(range(len(intervals)), key=lambda k: intervals[k][0])
-    a0, b0 = intervals[best]
-    for k, (a, b) in enumerate(intervals):
-        if k == best:
-            continue
-        if not (a0 < a and b < b0):
-            return None
-    return best
-
-
 def _component_slices(intervals) -> list[tuple[int, int]]:
     """Contiguous [start, stop) runs of one intersection-graph component.
 
@@ -125,9 +111,10 @@ def _digraph_arrays(intervals: Sequence[tuple[int, int]]):
     marked iff a_j < gs[i]). Thresholds range over all of I', so contained
     intervals count as gap and marking witnesses. The intervals must be
     canonical, that is left unchanged by `canonicalize_intervals`, and
-    connected, with at least two intervals and none containing all others;
-    `build_overlap_digraph` checks this, and `solve_interval` splits and
-    checks the components of its canonical form before calling it.
+    connected, with at least two intervals; `build_overlap_digraph` checks
+    this, and `solve_interval` splits and checks the components of its
+    canonical form before calling it. When the first interval contains all
+    the others it is the only non-sentinel vertex, so `verts` has length 3.
     """
     n = len(intervals)
     lo = intervals[0][0]
@@ -176,11 +163,11 @@ def build_overlap_digraph(m: IntervalModel) -> OverlapDigraph:
         raise ValueError("model must be canonical")
     if m.n < 2:
         raise ValueError("need at least two intervals")
-    if contains_all(m.intervals) is not None:
-        raise ValueError("an interval contains all others")
     if len(_component_slices(m.intervals)) != 1:
         raise ValueError("intersection graph is not connected")
     ivs, avals, bvals, verts, fs, gs = _digraph_arrays(m.intervals)
+    if len(verts) == 3:
+        raise ValueError("an interval contains all others")
     arcs: list[tuple[int, int, ArcClass]] = []
     for x, i in enumerate(verts):
         bi = bvals[i]
@@ -333,8 +320,9 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
 
     Returns original interval ids. Components are solved independently; a
     singleton component is an isolated vertex with no distance-2 partner,
-    so InfeasibleError names the smallest such id, as exact_min does. When
-    one interval properly contains all others of its component, that
+    so InfeasibleError names the smallest such id, as exact_min does. A
+    component whose digraph has one non-sentinel vertex is an interval
+    properly containing all the others, which no path can pair; that
     interval plus the component's smallest other id is already optimal.
     """
     if m.n == 0:
@@ -347,14 +335,10 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
 
     chosen: list[int] = []
     for start, stop in slices:
-        part = canon.intervals[start:stop]
-        container = contains_all(part)
-        if container is not None:
-            container += start
-            chosen.append(ids[container])
-            chosen.append(min(ids[k] for k in range(start, stop) if k != container))
+        _, avals, _, verts, fs, gs = _digraph_arrays(canon.intervals[start:stop])
+        if len(verts) == 3:
+            chosen += ids[start], min(ids[start + 1:stop])
         else:
-            _, avals, _, verts, fs, gs = _digraph_arrays(part)
             chosen.extend(ids[start + k - 1]
                           for k in _window_constrained_path(avals, verts, fs, gs))
     return tuple(sorted(chosen))

@@ -250,7 +250,6 @@ def min_vertex_cover(g: Graph) -> tuple[int, ...]:
             chosen = set(subset)
             if all(a in chosen or b in chosen for a, b in edges):
                 return subset
-    return tuple(range(g.n))
 
 
 def _check_source_size(kind: GadgetKind, n: int) -> None:

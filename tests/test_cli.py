@@ -388,6 +388,13 @@ class TestInProcess:
         from semidom.reductions import GadgetKind
         assert cli.GADGET_KINDS == tuple(k.value.lower() for k in GadgetKind)
 
+    def test_named_families_are_gen_named_families(self):
+        from semidom.graph import Graph
+        for family in cli.NAMED_FAMILIES:
+            assert isinstance(gen_named(family, 5), Graph), family
+        with pytest.raises(ValueError, match="^unknown family: wheel$"):
+            gen_named("wheel", 5)
+
     def test_huge_vertex_count_exits_1(self, tmp_path, capsys):
         f = tmp_path / "g.txt"
         f.write_text("2000000 0\n")  # just past the limit, so a failure stays cheap

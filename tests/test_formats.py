@@ -33,6 +33,10 @@ class TestEdgelist:
         with pytest.raises(ValueError):
             parse_edgelist("3 1\n1 0\n")
 
+    def test_malformed_edge_line(self):
+        with pytest.raises(ValueError, match=r"^malformed edge line: '0 1 2'$"):
+            parse_edgelist("2 1\n0 1 2\n")
+
     def test_empty_file(self):
         with pytest.raises(ValueError):
             parse_edgelist("# nothing\n")
@@ -105,6 +109,14 @@ class TestIntervals:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             parse_intervals("3\n0 1\n2 3\n")
+
+    def test_bad_header(self):
+        with pytest.raises(ValueError, match=r"^expected header 'n', got '2 3'$"):
+            parse_intervals("2 3\n0 1\n1 2\n")
+
+    def test_malformed_interval_line(self):
+        with pytest.raises(ValueError, match=r"^malformed interval line: '0 1 2'$"):
+            parse_intervals("1\n0 1 2\n")
 
 
 class TestVertexSetAndPartition:

@@ -12,8 +12,7 @@ from semidom.intervals import (IntervalModel, canonicalize_intervals,
 from semidom.interval_solver import (SINK, SOURCE, ArcClass, OverlapDigraph,
                                      _digraph_arrays, _window_constrained_path,
                                      build_overlap_digraph, build_split_digraph,
-                                     contains_all, shortest_constrained_path,
-                                     solve_interval)
+                                     shortest_constrained_path, solve_interval)
 
 import oracles
 
@@ -51,17 +50,6 @@ def small_models(draw):
             a += draw(st.integers(0, 2))
             pairs.append((scale(a), scale(a + draw(st.integers(1, 7)))))
     return IntervalModel(tuple(draw(st.permutations(pairs))))
-
-
-class TestContainsAll:
-    def test_container_found(self):
-        assert contains_all(canon([(0, 10), (2, 3), (4, 5)]).intervals) == 0
-
-    def test_plain_overlap_has_none(self):
-        assert contains_all(canon([(1, 4), (3, 6)]).intervals) is None
-
-    def test_mutual_non_containment(self):
-        assert contains_all(canon([(1, 8), (2, 9)]).intervals) is None
 
 
 class TestBuildOverlapDigraph:
@@ -208,6 +196,10 @@ class TestShortestConstrainedPath:
 
 
 class TestSolveInterval:
+    def test_empty_model_rejected(self):
+        with pytest.raises(ValueError, match="^empty interval model$"):
+            solve_interval(IntervalModel(()))
+
     def test_container_plus_smallest_other(self):
         assert solve_interval(IntervalModel(((0, 10), (2, 3), (4, 5)))) == (0, 1)
 
@@ -253,7 +245,8 @@ class TestSolveInterval:
         while checked < 80:
             n = 3 + rng.randrange(9)
             m = gen_interval_model(n, rng.next_u64())
-            if contains_all(m.intervals) is not None:
+            # in a canonical model only the first interval can contain all others
+            if m.intervals[0][1] > max(b for _, b in m.intervals[1:]):
                 continue
             if not is_connected(intersection_graph(m)):
                 continue

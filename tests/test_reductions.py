@@ -3,7 +3,7 @@ from collections import deque
 import pytest
 
 from semidom.domination import DominationKind, exact_min, verify
-from semidom.errors import SizeCapError
+from semidom.errors import InfeasibleError, SizeCapError
 from semidom.generators import (SplitMix64, gen_connected_graph, gen_named,
                                 gen_split_graph)
 from semidom.graph import Graph, SplitPartition
@@ -263,6 +263,33 @@ class TestExtractSolution:
         dg = extract_solution(go, dh)
         assert verify(P3, dg, TOT).valid
         assert len(dg) <= len(dh) - 2 * 3
+
+    def test_gp4_w_projects_to_smallest_neighbor(self):
+        # every w, x and y totally dominates H; each w_i maps to the
+        # smallest source neighbor of v_i
+        for s in range(3):
+            g = gen_connected_graph(5, 0.5, s)
+            go = build_gadget(g, GadgetKind.GP4)
+            dh = [v for tag in "wxy" for v in go.vertices_with_tag(tag)]
+            assert verify(go.h, dh, TOT).valid
+            dg = extract_solution(go, dh)
+            assert dg == tuple(sorted({g.neighbors(i)[0] for i in range(g.n)}))
+            assert verify(g, dg, TOT).valid
+
+    def test_apx_edge_projects_to_smaller_endpoint(self):
+        for s in range(3):
+            g = gen_connected_graph(5, 0.5, s)
+            go = build_gadget(g, GadgetKind.APX)
+            dh = [v for tag in ("u", "y", "edge") for v in go.vertices_with_tag(tag)]
+            assert verify(go.h, dh, SEMI).valid
+            assert extract_solution(go, dh) == tuple(sorted({min(e) for e in g.sorted_edges()}))
+
+    def test_gp4_w_of_lone_vertex_is_infeasible(self):
+        go = build_gadget(Graph(1), GadgetKind.GP4)
+        assert [go.roles[v] for v in (1, 2, 3)] == [("w", 0), ("x", 0), ("y", 0)]
+        with pytest.raises(InfeasibleError,
+                           match="^source vertex has no neighbor to stand in for its pendant$"):
+            extract_solution(go, [1, 2, 3])
 
     def test_ln_extract_is_dominating(self):
         rng = SplitMix64(88)
