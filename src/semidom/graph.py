@@ -118,12 +118,16 @@ def _checked_rows(n: int, edges: Iterable) -> list[list[int]]:
 def _raise_first_bad_edge(n: int, edges: Iterable, limit: int | None = None) -> None:
     """Raise the error of the first bad edge among the first `limit` edges.
 
-    Each edge is judged in input order by range, then self-loop, then
-    duplicate, so the error is the one an edge-by-edge check would raise.
-    Returns when those edges hold none of these faults.
+    Each edge is judged in input order by the type of each end, then
+    range, then self-loop, then duplicate, so the error is the one an
+    edge-by-edge check would raise. Returns when those edges hold none of
+    these faults.
     """
     seen = set()
     for u, v in islice(edges, limit):
+        for x in (u, v):
+            if not hasattr(x, "__index__"):  # what indexing a row needs
+                raise ValueError(f"vertex id {x!r} is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

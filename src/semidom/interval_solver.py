@@ -19,18 +19,18 @@ unmarked A2 arcs in a row. That sequencing constraint is compiled away by
 splitting every vertex into an in-node and an out-node, after which a plain
 shortest path on the split digraph does the job.
 
-solve_interval never builds the digraphs. After an O(n log n) sort and
-per-vertex arc thresholds, it relaxes the split digraph over sliding windows
-in linear time. build_overlap_digraph, build_split_digraph and
-shortest_constrained_path stay as the quadratic reference implementation.
+solve_interval never builds the digraphs. After an O(n log n) sort, one
+backward and one forward sweep find each component, its non-contained
+intervals and their arc thresholds, and the split digraph is relaxed over
+sliding windows in linear time; the sentinels appear only in the digraphs.
+build_overlap_digraph, build_split_digraph and shortest_constrained_path
+stay as the quadratic reference implementation.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Sequence
 
 from ._record import Record
 from .errors import InfeasibleError
@@ -80,76 +80,49 @@ class SplitDigraph(Record):
     arcs: tuple[tuple[Node, Node, int], ...]
 
 
-def _component_slices(intervals) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) runs of one intersection-graph component.
+def _components(intervals):
+    """(start, stop, verts, a, f, g, first_end) per component, left to right.
 
-    Only valid for canonical intervals (sorted by left endpoint): a component
-    ends where every earlier interval stops before the next one starts.
-    """
-    slices = []
-    start = 0
-    reach = intervals[0][1]
-    for k in range(1, len(intervals)):
-        a, b = intervals[k]
-        if a > reach:
-            slices.append((start, k))
-            start = k
-            reach = b
-        else:
-            reach = max(reach, b)
-    slices.append((start, len(intervals)))
-    return slices
-
-
-def _digraph_arrays(intervals: Sequence[tuple[int, int]]):
-    """Sentinel-extended endpoint arrays and per-vertex arc thresholds.
-
-    Returns (ivs, avals, bvals, verts, fs, gs) where for an index i
-    fs[i] is the least right endpoint among intervals starting right of b_i
-    (so an A2 arc (i, j) exists iff b_i < a_j < fs[i]) and gs[i] is the
-    greatest right endpoint among intervals starting left of b_i (the arc is
-    marked iff a_j < gs[i]). Thresholds range over all of I', so contained
-    intervals count as gap and marking witnesses. The intervals must be
-    canonical, that is left unchanged by `canonicalize_intervals`, and
-    connected, with at least two intervals; `build_overlap_digraph` checks
-    this, and `solve_interval` splits and checks the components of its
-    canonical form before calling it. When the first interval contains all
-    the others it is the only non-sentinel vertex, so `verts` has length 3.
+    The component is the canonical positions [start, stop). `verts` are its
+    positions not properly contained in another interval; a[t], f[t] and
+    g[t] belong to verts[t]. f is the least right endpoint among intervals
+    starting right of b (an A2 arc (s, t) exists iff b_s < a_t < f[s]), or
+    inf if none of the component does (the arc to the sink). g is the
+    greatest right endpoint among intervals starting left of b (the arc is
+    marked iff a_t < g[s]). The source has an arc to each vertex with
+    a < first_end, the component's least right endpoint. Contained intervals
+    count as gap and marking witnesses. One backward and one forward sweep
+    take these over the whole model. They equal the per-component values:
+    earlier components end before this one's first left endpoint, and later
+    ones end after its last right endpoint. So f takes position p only when
+    p starts before every earlier interval has ended, in the same component.
     """
     n = len(intervals)
-    lo = intervals[0][0]
-    hi = max(b for _, b in intervals)
-    ivs: list[tuple[int, int]] = [(lo - 3, lo - 2)]
-    ivs.extend(intervals)
-    ivs.append((hi + 1, hi + 2))
-
-    # vertex set: indices not properly contained in any interval of I'
-    avals = [a for a, _ in ivs]
-    bvals = [b for _, b in ivs]
-    verts = [0]
-    prefix_max_b = bvals[0]
-    for k in range(1, n + 1):
-        if bvals[k] > prefix_max_b:
+    inf = float("inf")
+    least = [inf] * (n + 1)  # least right endpoint at positions >= k
+    for k in range(n - 1, -1, -1):
+        least[k] = min(intervals[k][1], least[k + 1])
+    starts: list[int] = []
+    parts = []
+    top = reach = -inf  # greatest right endpoint before k, and before p
+    p = 0
+    for k, (ak, bk) in enumerate(intervals):
+        if ak > top:
+            starts.append(k)
+            verts, a, f, g = part = [], [], [], []
+            parts.append(part)
+        if bk > top:
+            top = bk
+            while p < n and intervals[p][0] < bk:
+                reach = max(reach, intervals[p][1])
+                p += 1
             verts.append(k)
-        prefix_max_b = max(prefix_max_b, bvals[k])
-    verts.append(n + 1)
-
-    size = n + 2
-    suffix_min_b = [0] * (size + 1)
-    suffix_min_b[size] = hi + 10
-    for k in range(size - 1, -1, -1):
-        suffix_min_b[k] = min(bvals[k], suffix_min_b[k + 1])
-    prefix_max = [0] * (size + 1)
-    prefix_max[0] = lo - 10
-    for k in range(size):
-        prefix_max[k + 1] = max(prefix_max[k], bvals[k])
-    fs = {}
-    gs = {}
-    for i in verts:
-        bi = bvals[i]
-        fs[i] = suffix_min_b[bisect_right(avals, bi)]
-        gs[i] = prefix_max[bisect_left(avals, bi)]
-    return ivs, avals, bvals, verts, fs, gs
+            a.append(ak)
+            f.append(least[p] if p < n and intervals[p][0] < reach else inf)
+            g.append(reach)
+    starts.append(n)
+    return [(start, stop, *part, least[start])
+            for start, stop, part in zip(starts, starts[1:], parts)]
 
 
 def build_overlap_digraph(m: IntervalModel) -> OverlapDigraph:
@@ -163,24 +136,29 @@ def build_overlap_digraph(m: IntervalModel) -> OverlapDigraph:
         raise ValueError("model must be canonical")
     if m.n < 2:
         raise ValueError("need at least two intervals")
-    if len(_component_slices(m.intervals)) != 1:
+    comps = _components(m.intervals)
+    if len(comps) != 1:
         raise ValueError("intersection graph is not connected")
-    ivs, avals, bvals, verts, fs, gs = _digraph_arrays(m.intervals)
-    if len(verts) == 3:
+    _, _, verts, a, f, g, first_end = comps[0]
+    if len(verts) == 1:
         raise ValueError("an interval contains all others")
-    arcs: list[tuple[int, int, ArcClass]] = []
-    for x, i in enumerate(verts):
-        bi = bvals[i]
-        fi = fs[i]
-        gi = gs[i]
-        for j in verts[x + 1:]:
-            aj = avals[j]
+    lo = m.intervals[0][0]
+    hi = max(b for _, b in m.intervals)
+    sink = m.n + 1
+    ids = [v + 1 for v in verts]  # the sentinel (lo-3, lo-2) takes index 0
+    arcs = [(0, j, ArcClass.A2_UNMARKED) for j, aj in zip(ids, a) if aj < first_end]
+    for x, i in enumerate(ids):
+        bi = m.intervals[verts[x]][1]
+        for j, aj in zip(ids[x + 1:], a[x + 1:]):
             if aj < bi:
                 arcs.append((i, j, ArcClass.A1))
-            elif fi > aj:
-                cls = ArcClass.A2_MARKED if gi > aj else ArcClass.A2_UNMARKED
+            elif f[x] > aj:
+                cls = ArcClass.A2_MARKED if g[x] > aj else ArcClass.A2_UNMARKED
                 arcs.append((i, j, cls))
-    return OverlapDigraph(intervals=tuple(ivs), vertices=tuple(verts), arcs=tuple(arcs))
+        if f[x] == float("inf"):
+            arcs.append((i, sink, ArcClass.A2_UNMARKED))
+    return OverlapDigraph(intervals=((lo - 3, lo - 2), *m.intervals, (hi + 1, hi + 2)),
+                          vertices=(0, *ids, sink), arcs=tuple(arcs))
 
 
 def build_split_digraph(d: OverlapDigraph) -> SplitDigraph:
@@ -248,23 +226,22 @@ def shortest_constrained_path(dprime: SplitDigraph) -> tuple[int, ...]:
     return result
 
 
-def _window_constrained_path(avals, verts, fs, gs) -> tuple[int, ...]:
+def _window_constrained_path(a, f, g, first_end) -> tuple[int, ...]:
     """The path shortest_constrained_path finds, by window minima in O(k).
 
-    Over the inner vertices in a order, fs and gs are nondecreasing with
-    fs > b and gs >= b. The in-node of t is reached (A1 and marked A2 arcs)
-    from the out-nodes of the s < t with min(fs, gs)[s] > a_t; its out-node
-    (unmarked A2 arcs) from the in-nodes of the s with gs[s] <= a_t < fs[s].
-    Both windows only move right as t grows, so a monotone deque per window
-    holds its minimum, keeping the older node on ties as the reference does.
+    Takes one component's lists from `_components` and returns vertex
+    indices t. Over the vertices in a order, f and g are nondecreasing with
+    f > b and g >= b. The in-node of t is reached (A1 and marked A2 arcs)
+    from the out-nodes of the s < t with min(f, g)[s] > a_t; its out-node
+    (unmarked A2 arcs) from the in-nodes of the s with g[s] <= a_t < f[s],
+    or from the source when a_t < first_end. The in-nodes with f = inf
+    reach the sink. Both windows only move right as t grows, so a monotone
+    deque per window holds its minimum, keeping the older node on ties as
+    the reference does.
     """
-    inner = verts[1:-1]
-    a = [avals[i] for i in inner]
-    f = [fs[i] for i in inner]
-    g = [gs[i] for i in inner]
-    # split-digraph node 2t is the in-node of inner[t], 2t+1 its out-node
+    # split-digraph node 2t is the in-node of vertex t, 2t+1 its out-node
     inf = float("inf")
-    dist = [inf] * (2 * len(inner))
+    dist = [inf] * (2 * len(a))
     pred = [-1] * len(dist)  # -1: the source
     in_q: deque[int] = deque()   # out-nodes feeding in-nodes
     out_q: deque[int] = deque()  # in-nodes feeding out-nodes by unmarked arcs
@@ -293,21 +270,21 @@ def _window_constrained_path(avals, verts, fs, gs) -> tuple[int, ...]:
         while f[out_lo] <= at:
             out_lo += 1
         relax(2 * t, in_q, in_lo)
-        if fs[verts[0]] > at:
+        if first_end > at:
             dist[2 * t + 1] = 0
         else:
             relax(2 * t + 1, out_q, out_lo)
             if dist[2 * t] < dist[2 * t + 1]:  # the zero-length in->out arc
                 dist[2 * t + 1], pred[2 * t + 1] = dist[2 * t], 2 * t
     # in-nodes with an arc to the sink; min keeps the smallest on ties
-    ends = [2 * t for t in range(len(inner)) if f[t] > avals[verts[-1]]]
+    ends = [2 * t for t in range(len(a)) if f[t] == inf]
     node = min(ends, key=dist.__getitem__, default=None)
     if node is None or dist[node] == inf:
         raise RuntimeError("no source-to-sink path (internal error)")
     size = dist[node] + 1
     picked: set[int] = set()
     while node >= 0:
-        picked.add(inner[node >> 1])
+        picked.add(node >> 1)
         node = pred[node]
     result = tuple(sorted(picked))
     if len(result) != size:
@@ -321,24 +298,22 @@ def solve_interval(m: IntervalModel) -> tuple[int, ...]:
     Returns original interval ids. Components are solved independently; a
     singleton component is an isolated vertex with no distance-2 partner,
     so InfeasibleError names the smallest such id, as exact_min does. A
-    component whose digraph has one non-sentinel vertex is an interval
-    properly containing all the others, which no path can pair; that
-    interval plus the component's smallest other id is already optimal.
+    component with one vertex is an interval properly containing all the
+    others, which no path can pair; that interval plus the component's
+    smallest other id is already optimal.
     """
     if m.n == 0:
         raise ValueError("empty interval model")
     canon, ids = canonicalize_intervals(m)
-    slices = _component_slices(canon.intervals)
-    isolated = [ids[start] for start, stop in slices if stop - start == 1]
+    comps = _components(canon.intervals)
+    isolated = [ids[start] for start, stop, *_ in comps if stop - start == 1]
     if isolated:
         raise InfeasibleError(f"isolated vertex {min(isolated)}")
 
     chosen: list[int] = []
-    for start, stop in slices:
-        _, avals, _, verts, fs, gs = _digraph_arrays(canon.intervals[start:stop])
-        if len(verts) == 3:
+    for start, stop, verts, a, f, g, first_end in comps:
+        if len(verts) == 1:
             chosen += ids[start], min(ids[start + 1:stop])
         else:
-            chosen.extend(ids[start + k - 1]
-                          for k in _window_constrained_path(avals, verts, fs, gs))
+            chosen.extend(ids[verts[t]] for t in _window_constrained_path(a, f, g, first_end))
     return tuple(sorted(chosen))

@@ -332,9 +332,10 @@ def ref_graph(n, edges):
     """The edge-by-edge `Graph` constructor, the differential reference for
     `graph.Graph`: returns (m, edge set, sorted adjacency rows) or raises.
 
-    Each edge is unpacked, range-checked, loop-checked and normalized to a
-    plain (min, max) tuple, then looked up in the set of edges seen so far,
-    so the error is always that of the first bad edge in input order.
+    Each edge is unpacked, type-checked, range-checked, loop-checked and
+    normalized to a plain (min, max) tuple, then looked up in the set of
+    edges seen so far, so the error is always that of the first bad edge in
+    input order.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -342,6 +343,9 @@ def ref_graph(n, edges):
     adj = [[] for _ in range(n)]
     for e in edges:
         u, v = e
+        for x in (u, v):
+            if not hasattr(x, "__index__"):  # what indexing a row needs
+                raise ValueError(f"vertex id {x!r} is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

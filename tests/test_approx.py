@@ -164,6 +164,13 @@ class TestAlgoDomSet:
     def test_c4_found_exhaustively(self):
         assert algo_dom_set(C4, 2) == (0, 1)
 
+    def test_input_checks(self):
+        for g, k, message in ((Graph(0), 2, "graph is empty"),
+                              (Graph(2), 2, "graph must be connected"),
+                              (Graph(2, [(0, 1)]), 0, "k must be at least 1")):
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                algo_dom_set(g, k)
+
     def test_k2_single_vertex(self):
         assert algo_dom_set(Graph(2, [(0, 1)]), 1) == (0,)
 

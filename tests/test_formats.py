@@ -118,6 +118,14 @@ class TestIntervals:
         with pytest.raises(ValueError, match=r"^malformed interval line: '0 1 2'$"):
             parse_intervals("1\n0 1 2\n")
 
+    def test_empty_file(self):
+        with pytest.raises(ValueError, match=r"^empty interval file$"):
+            parse_intervals("")
+
+    def test_exponent_without_digits_rejected(self):
+        with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: '1e'$"):
+            parse_intervals("1\n0 1e\n")
+
 
 class TestVertexSetAndPartition:
     def test_vertex_set_whitespace(self):

@@ -28,6 +28,10 @@ class TestSplitMix64:
         for _ in range(100):
             assert 0.0 <= rng.random() < 1.0
 
+    def test_randrange_rejects_empty_range(self):
+        with pytest.raises(ValueError, match=r"^randrange needs a positive bound$"):
+            SplitMix64(0).randrange(0)
+
     def test_sample_is_distinct_and_in_range(self):
         rng = SplitMix64(13)
         got = rng.sample_without_replacement(20, 8)
@@ -105,6 +109,10 @@ class TestGenConnectedGraph:
         with pytest.raises(ValueError):
             gen_connected_graph(3, 1.5, 0)
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match=r"^need at least one vertex$"):
+            gen_connected_graph(0, 0.5, 0)
+
     def test_matches_bridge_at_a_time_reference(self):
         for n in (1, 2, 3, 5, 8, 13, 40):
             for p in (0.0, 0.02, 0.1, 0.3, 1.0):
@@ -148,6 +156,10 @@ class TestGenIntervalModel:
 
     def test_single_interval(self):
         assert gen_interval_model(1, 0).n == 1
+
+    def test_rejects_no_intervals(self):
+        with pytest.raises(ValueError, match=r"^need at least one interval$"):
+            gen_interval_model(0, 0)
 
     def test_determinism(self):
         assert gen_interval_model(12, 3).intervals == gen_interval_model(12, 3).intervals
@@ -193,6 +205,13 @@ class TestGenSplitGraph:
                             p, q, density, seed), (p, q, density, seed)
                         assert part.clique == tuple(range(p))
 
+    def test_argument_errors(self):
+        for args, message in (((0, 1, .5, 0), r"clique part must be nonempty"),
+                              ((1, -1, .5, 0), r"independent part size must be nonnegative"),
+                              ((1, 1, 1.5, 0), r"density out of range: 1\.5")):
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                gen_split_graph(*args)
+
     def test_partition_always_valid_and_no_isolates(self):
         rng = SplitMix64(5)
         for _ in range(60):
@@ -216,6 +235,12 @@ class TestGenNamed:
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):
             gen_named("cycle", 2)
+
+    def test_size_zero_rejected(self):
+        for family, message in (("path", "path"), ("star", "star"),
+                                ("complete", "complete graph")):
+            with pytest.raises(ValueError, match=rf"^{message} needs size >= 1$"):
+                gen_named(family, 0)
 
     def test_star_and_complete(self):
         assert gen_named("star", 5).degree(0) == 4

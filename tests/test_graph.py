@@ -46,6 +46,9 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_not_equal_to_a_non_graph(self):
+        assert (Graph(1) == 1) is False
+
     def test_duplicate_error_comes_before_a_later_self_loop(self):
         with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             Graph(3, [(0, 1), (0, 1), (2, 2)])
@@ -76,6 +79,13 @@ class TestGraphConstruction:
 
 
 Edge = namedtuple("Edge", "u v")
+
+
+class IndexFraction(Fraction):
+    """A non-int vertex id that indexes a list, as numpy's integers do."""
+
+    def __index__(self):
+        return int(self)
 
 
 def _outcome(build):
@@ -155,6 +165,7 @@ class TestGraphAgainstReference:
 
     def test_named_cases(self):
         cases = [
+            (-1, []),
             (0, []),
             (0, [(0, 1)]),
             (3, [[1, 0], Edge(2, 1)]),
@@ -167,6 +178,12 @@ class TestGraphAgainstReference:
             (4, [(0, 4)]),
             (4, [(-1, 2)]),
             (4, [Edge(3, 2), Edge(2, 3)]),
+            (3, [(0, 1.5)]),                  # a non-integer id is a ValueError
+            (3, [(0.0, 1)]),
+            (3, [(0, "1")]),
+            (3, [(0, 7.5)]),                  # the type is judged before the range
+            (3, [(0, 1), (Fraction(1), 2)]),
+            (3, [(IndexFraction(0), 1), (0, 5)]),  # an __index__ type is an integer
         ]
         for n, edges in cases:
             _same_as_reference(n, lambda: list(edges))

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from semidom.domination import DominationKind, exact_min, verify
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_interval_model
-from semidom.graph import is_connected
+from semidom.graph import connected_components, is_connected
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
                                intersection_graph)
 from semidom.interval_solver import (SINK, SOURCE, ArcClass, OverlapDigraph,
-                                     _digraph_arrays, _window_constrained_path,
+                                     _components, _window_constrained_path,
                                      build_overlap_digraph, build_split_digraph,
                                      shortest_constrained_path, solve_interval)
 
@@ -50,6 +50,39 @@ def small_models(draw):
             a += draw(st.integers(0, 2))
             pairs.append((scale(a), scale(a + draw(st.integers(1, 7)))))
     return IntervalModel(tuple(draw(st.permutations(pairs))))
+
+
+def seeded_models():
+    """gen_interval_model and bounded-length models from a drawn seed."""
+    return st.one_of(
+        st.builds(gen_interval_model, st.integers(1, 60), st.integers(0, 2**64 - 1)),
+        st.builds(lambda n, seed: IntervalModel(tuple(bounded_length_pairs(n, SplitMix64(seed)))),
+                  st.integers(1, 60), st.integers(0, 2**64 - 1)))
+
+
+@given(st.one_of(small_models(), seeded_models()))
+@settings(max_examples=300, deadline=None)
+def test_components_match_definitions(m):
+    # the sweep's runs, vertices and thresholds against brute force over each
+    # component, which pins its same-component test and the suffix minimum
+    # it takes across components
+    c = canonicalize_intervals(m)[0]
+    ivs = c.intervals
+    comps = _components(ivs)
+    assert ([list(range(start, stop)) for start, stop, *_ in comps]
+            == connected_components(intersection_graph(c)))
+    inf = float("inf")
+    for start, stop, verts, a, f, g, first_end in comps:
+        comp = ivs[start:stop]
+        assert verts == [k for k in range(start, stop)
+                         if not any(aj < ivs[k][0] and ivs[k][1] < bj for aj, bj in comp)]
+        assert a == [ivs[k][0] for k in verts]
+        for t, k in enumerate(verts):
+            b = ivs[k][1]
+            later = [bj for aj, bj in comp if aj > b]
+            assert f[t] == (min(later) if later else inf)
+            assert g[t] == max(bj for aj, bj in comp if aj < b)
+        assert first_end == min(b for _, b in comp)
 
 
 class TestBuildOverlapDigraph:
@@ -325,8 +358,8 @@ class TestSolveInterval:
                 d = build_overlap_digraph(m)
             except ValueError:  # container or disconnected model
                 continue
-            _, avals, _, verts, fs, gs = _digraph_arrays(m.intervals)
-            assert (_window_constrained_path(avals, verts, fs, gs)
+            (_, _, verts, a, f, g, first_end), = _components(m.intervals)
+            assert (tuple(verts[t] + 1 for t in _window_constrained_path(a, f, g, first_end))
                     == shortest_constrained_path(build_split_digraph(d)))
             checked += 1
 

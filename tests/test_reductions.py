@@ -130,6 +130,14 @@ class TestBuildGadget:
         assert go.h.n == 20
         assert go.h.max_degree() == 4
 
+    def test_rejects_empty_source(self):
+        with pytest.raises(ValueError, match=r"^source graph is empty$"):
+            build_gadget(Graph(0), GadgetKind.GP4)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown gadget kind: GP4$"):
+            build_gadget(K2, "GP4")
+
     def test_rejects_disconnected_source(self):
         with pytest.raises(ValueError):
             build_gadget(Graph(4, [(0, 1), (2, 3)]), GadgetKind.LN)
@@ -304,6 +312,14 @@ class TestExtractSolution:
         go = build_gadget(C4, GadgetKind.BIPARTITE)
         with pytest.raises(ValueError):
             extract_solution(go, (0, 1))
+
+    def test_split_extract_with_empty_independent_part_is_infeasible(self):
+        go = build_gadget(K2, GadgetKind.SPLIT, SplitPartition(clique=(0, 1), independent=()))
+        dh = go.vertices_with_tag("w") + go.vertices_with_tag("s")
+        assert verify(go.h, dh, SEMI).valid
+        with pytest.raises(InfeasibleError,
+                           match="^gadget solution cannot be projected: empty independent part$"):
+            extract_solution(go, dh)
 
     def test_split_extract_repairs_cliqueless_solution(self):
         # clique {0,1}, independent {2}, vertex 1 has no independent neighbor
