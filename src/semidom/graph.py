@@ -7,6 +7,7 @@ construction; all functions here are pure.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import islice
@@ -139,16 +140,16 @@ def _raise_first_bad_edge(n: int, edges: Iterable, limit: int | None = None) -> 
 
 
 def check_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
-    """Validate a vertex set against g and return it as a sorted tuple.
+    """Validate a vertex set against g and return it as a sorted int tuple.
 
-    Raises ValueError for the first id, in input order, that is not an int,
-    then for the smallest id out of range.
+    Raises ValueError for the first id, in input order, with no `__index__`
+    (as `Graph` judges edge ends), then for the smallest id out of range.
     """
     members = list(members)
     for v in members:
-        if not isinstance(v, int):
+        if not hasattr(v, "__index__"):
             raise ValueError(f"vertex id {v!r} is not an integer")
-    out = sorted(set(members))
+    out = sorted(set(map(operator.index, members)))
     for v in out:
         g.check_vertex(v)
     return tuple(out)

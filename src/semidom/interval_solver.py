@@ -21,8 +21,9 @@ shortest path on the split digraph does the job.
 
 solve_interval never builds the digraphs. After an O(n log n) sort, one
 backward and one forward sweep find each component, its non-contained
-intervals and their arc thresholds, and the split digraph is relaxed over
-sliding windows in linear time; the sentinels appear only in the digraphs.
+intervals and their arc thresholds, and one linear pass over the split
+digraph reads each window's minimum at its left end, since distances never
+fall along the interval order; the sentinels appear only in the digraphs.
 build_overlap_digraph, build_split_digraph and shortest_constrained_path
 stay as the quadratic reference implementation.
 """
@@ -30,7 +31,6 @@ stay as the quadratic reference implementation.
 from __future__ import annotations
 
 import enum
-from collections import deque
 
 from ._record import Record
 from .errors import InfeasibleError
@@ -227,59 +227,56 @@ def shortest_constrained_path(dprime: SplitDigraph) -> tuple[int, ...]:
 
 
 def _window_constrained_path(a, f, g, first_end) -> tuple[int, ...]:
-    """The path shortest_constrained_path finds, by window minima in O(k).
+    """The path shortest_constrained_path finds, in O(k).
 
-    Takes one component's lists from `_components` and returns vertex
-    indices t. Over the vertices in a order, f and g are nondecreasing with
-    f > b and g >= b. The in-node of t is reached (A1 and marked A2 arcs)
-    from the out-nodes of the s < t with min(f, g)[s] > a_t; its out-node
-    (unmarked A2 arcs) from the in-nodes of the s with g[s] <= a_t < f[s],
-    or from the source when a_t < first_end. The in-nodes with f = inf
-    reach the sink. Both windows only move right as t grows, so a monotone
-    deque per window holds its minimum, keeping the older node on ties as
-    the reference does.
+    Takes the lists from `_components` of a component with two or more
+    vertices; returns vertex indices t. Over the vertices in a order, f and
+    g are nondecreasing with f > b and g >= b. The in-node of t is reached
+    (A1 and marked A2 arcs) from the out-nodes of the s < t with
+    min(f, g)[s] > a_t; its out-node (unmarked A2 arcs) from the in-nodes of
+    the s with g[s] <= a_t < f[s], or from the source when a_t < first_end.
+    The in-nodes with f = inf reach the sink. Both windows only move right.
+
+    A window's minimum is its left end. Write in(t), out(t) for the
+    distances; out(t) <= in(t) by the zero arc, or out(t) = 0. Consecutive
+    vertices overlap, so the in-window [in_lo, t) holds t-1 and in(t) is
+    finite for t >= 1. Induction on t: if out is nondecreasing below t, so
+    is in(t) = 1 + out(in_lo), as in_lo only moves right. And out(t) >=
+    out(t-1): the source reaches a prefix, in(t) >= in(t-1) >= out(t-1),
+    and an s with g[s] <= a_t < f[s] is in t-1's out-window if g[s] <=
+    a_{t-1}, else in its in-window, so in(t-1) <= 1 + out(s) <= 1 + in(s);
+    either way out(t-1) <= 1 + in(s). So a window's leftmost node is its
+    minimum and, on ties, the oldest, which the reference keeps. In-node 0
+    is never reached, so the out-window skips it. f is nondecreasing with
+    f = inf at the last vertex, so the sink arcs leave a suffix; its
+    leftmost reached in-node ends the path.
     """
     # split-digraph node 2t is the in-node of vertex t, 2t+1 its out-node
     inf = float("inf")
     dist = [inf] * (2 * len(a))
     pred = [-1] * len(dist)  # -1: the source
-    in_q: deque[int] = deque()   # out-nodes feeding in-nodes
-    out_q: deque[int] = deque()  # in-nodes feeding out-nodes by unmarked arcs
     in_lo = out_lo = out_hi = 0
-
-    def push(q, node):
-        while q and dist[q[-1]] > dist[node]:
-            q.pop()
-        q.append(node)
-
-    def relax(node, q, lo):
-        while q and q[0] >> 1 < lo:
-            q.popleft()
-        if q and dist[q[0]] + 1 < dist[node]:
-            dist[node], pred[node] = dist[q[0]] + 1, q[0]
-
     for t, at in enumerate(a):
-        if t:
-            push(in_q, 2 * t - 1)
         # each scan stops by t, since f[t] > b_t > a_t and g[t] >= b_t
         while min(f[in_lo], g[in_lo]) <= at:
             in_lo += 1
         while g[out_hi] <= at:
-            push(out_q, 2 * out_hi)
             out_hi += 1
         while f[out_lo] <= at:
             out_lo += 1
-        relax(2 * t, in_q, in_lo)
+        if t:
+            dist[2 * t], pred[2 * t] = dist[2 * in_lo + 1] + 1, 2 * in_lo + 1
         if first_end > at:
             dist[2 * t + 1] = 0
         else:
-            relax(2 * t + 1, out_q, out_lo)
-            if dist[2 * t] < dist[2 * t + 1]:  # the zero-length in->out arc
+            s = max(out_lo, 1)
+            # the window wins ties, as it comes first in the reference's order
+            if s < out_hi and dist[2 * s] < dist[2 * t]:
+                dist[2 * t + 1], pred[2 * t + 1] = dist[2 * s] + 1, 2 * s
+            else:  # the zero-length in->out arc
                 dist[2 * t + 1], pred[2 * t + 1] = dist[2 * t], 2 * t
-    # in-nodes with an arc to the sink; min keeps the smallest on ties
-    ends = [2 * t for t in range(len(a)) if f[t] == inf]
-    node = min(ends, key=dist.__getitem__, default=None)
-    if node is None or dist[node] == inf:
+    node = 2 * max(f.index(inf), 1)
+    if dist[node] == inf:
         raise RuntimeError("no source-to-sink path (internal error)")
     size = dist[node] + 1
     picked: set[int] = set()

@@ -6,6 +6,7 @@ test.
 """
 
 import itertools
+import operator
 from collections import deque
 
 from semidom.errors import InfeasibleError
@@ -13,6 +14,20 @@ from semidom.generators import SplitMix64
 from semidom.graph import Graph
 
 INF = float("inf")
+
+
+class IndexOnly:
+    """A vertex id that is not an int but has `__index__`, as numpy's
+    integers do; the library reads it as the integer it stands for."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"IndexOnly({self.value})"
 
 
 def adjacency(n, edges):
@@ -222,9 +237,9 @@ def ref_build_semitotal_setcover(n, edges, d):
     max_set_size) and raises the same errors, in the same order."""
     members = list(d)
     for v in members:
-        if not isinstance(v, int):
+        if not hasattr(v, "__index__"):
             raise ValueError(f"vertex id {v!r} is not an integer")
-    members = sorted(set(members))
+    members = sorted({operator.index(v) for v in members})
     for v in members:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for n={n}")

@@ -273,7 +273,8 @@ class TestAgainstReference:
         n = data.draw(st.integers(0, 12))
         pairs = list(itertools.combinations(range(n), 2))
         keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        d = data.draw(st.lists(st.one_of(st.integers(-1, n + 1), st.sampled_from(["0", 2.0])),
+        d = data.draw(st.lists(st.one_of(st.integers(-1, n + 1), st.sampled_from(["0", 2.0]),
+                                         st.integers(-1, n + 1).map(oracles.IndexOnly)),
                                max_size=n + 2))
         assert_matches_reference(n, [e for e, k in zip(pairs, keep) if k], d)
 

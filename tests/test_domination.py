@@ -66,6 +66,11 @@ class TestVerify:
         with pytest.raises(ValueError, match=r"^vertex id '2' is not an integer$"):
             verify(P4, (0, "2", 9), SEMI)
 
+    def test_index_member_is_an_integer(self):
+        # an id with __index__, as numpy's integers have, is an integer
+        assert verify(P4, [oracles.IndexOnly(1), oracles.IndexOnly(2)], SEMI).valid
+        assert verify(P4, [oracles.IndexOnly(0)], SEMI) == verify(P4, [0], SEMI)
+
     def test_unknown_kind_rejected(self):
         # read as DOMINATING, a string or None would pass the centre of
         # K_{1,3} alone

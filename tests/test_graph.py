@@ -345,6 +345,15 @@ class TestCheckVertexSet:
         with pytest.raises(ValueError, match=r"^vertex 7 out of range for n=4$"):
             check_vertex_set(P4, [9, 7, 1])
 
+    def test_index_ids_are_integers(self):
+        # the ids Graph's edges accept, returned as plain ints
+        got = check_vertex_set(P4, [oracles.IndexOnly(2), 0, oracles.IndexOnly(0)])
+        assert got == (0, 2) and all(type(v) is int for v in got)
+        with pytest.raises(ValueError, match=r"^vertex 7 out of range for n=4$"):
+            check_vertex_set(P4, [oracles.IndexOnly(7)])
+        with pytest.raises(ValueError, match=r"^vertex id None is not an integer$"):
+            check_vertex_set(P4, [oracles.IndexOnly(1), None])
+
 
 class TestBfsDistance:
     def test_path_endpoints(self):

@@ -83,6 +83,20 @@ def test_components_match_definitions(m):
             assert f[t] == (min(later) if later else inf)
             assert g[t] == max(bj for aj, bj in comp if aj < b)
         assert first_end == min(b for _, b in comp)
+        if len(verts) >= 2:
+            # what the window DP relies on: consecutive vertices overlap, and
+            # the sink arcs (f = inf) leave a suffix that holds the last vertex
+            assert all(ivs[v][0] < ivs[u][1] for u, v in zip(verts, verts[1:]))
+            assert f[-1] == inf
+            ends = [t for t in range(len(f)) if f[t] == inf]
+            assert ends == list(range(ends[0], len(f)))
+
+
+def assert_window_route_matches_reference(m, d):
+    # solve_interval's path routine against the materialized digraphs
+    (_, _, verts, a, f, g, first_end), = _components(m.intervals)
+    assert (tuple(verts[t] + 1 for t in _window_constrained_path(a, f, g, first_end))
+            == shortest_constrained_path(build_split_digraph(d)))
 
 
 class TestBuildOverlapDigraph:
@@ -358,10 +372,19 @@ class TestSolveInterval:
                 d = build_overlap_digraph(m)
             except ValueError:  # container or disconnected model
                 continue
-            (_, _, verts, a, f, g, first_end), = _components(m.intervals)
-            assert (tuple(verts[t] + 1 for t in _window_constrained_path(a, f, g, first_end))
-                    == shortest_constrained_path(build_split_digraph(d)))
+            assert_window_route_matches_reference(m, d)
             checked += 1
+
+    @given(small_models())
+    @settings(max_examples=300, deadline=None)
+    def test_window_route_matches_reference_on_hypothesis_models(self, m):
+        # touching, nested, Fraction and float intervals, several components
+        c = canonicalize_intervals(m)[0]
+        for start, stop, verts, *_ in _components(c.intervals):
+            if len(verts) < 2:  # an isolated interval or a container
+                continue
+            sub = canon(c.intervals[start:stop])
+            assert_window_route_matches_reference(sub, build_overlap_digraph(sub))
 
     @given(small_models())
     @settings(max_examples=400, deadline=None)
