@@ -39,6 +39,9 @@ NAMED_FAMILIES = ("path", "cycle", "star", "complete", "gp4")
 # `--kind` values of reduce and check-reduction: reductions.GadgetKind, lower case
 GADGET_KINDS = ("gp4", "bipartite", "split", "ln", "apx")
 
+# `solve --algo exact` node budget when --max-nodes is not given
+DEFAULT_MAX_NODES = 250_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # unknown flags and bad values exit 1, not 2
@@ -93,7 +96,8 @@ def _cmd_solve(args) -> tuple[dict, int]:
     g = None if args.algo == "interval" else _graph_of(inst)
     t0 = time.perf_counter()
     if args.algo == "exact":
-        result = exact_min(g, DominationKind.SEMITOTAL, args.max_nodes)
+        budget = DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes
+        result = exact_min(g, DominationKind.SEMITOTAL, budget)
     elif args.algo == "interval":
         result = solve_interval(inst)
     else:
@@ -239,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("edgelist", "intervals"), default="edgelist")
     p.add_argument("--max-nodes", type=int,
-                   help="exact search node budget; exceeding it exits 4")
+                   help=f"exact search node budget (default {DEFAULT_MAX_NODES}); "
+                        "exceeding it exits 4")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a vertex set against a domination kind")

@@ -10,7 +10,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import combinations, islice
 
 from ._record import Record
 
@@ -18,15 +18,14 @@ from ._record import Record
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    The sorted adjacency rows are the only stored form of the graph. They
-    are built in one pass over the edges, in O(n + m log Δ) time; the edge
-    set is built from them on first access of `edges` and then kept.
-    Builders inside the package that already hold sorted, simple rows hand
-    them over as `_rows`, a list of n rows that becomes the graph's own,
-    with no check.
+    The sorted adjacency rows of plain ints are the only stored form of the
+    graph. They are built in one pass over the edges, in O(n + m log Δ)
+    time; `edges` builds the edge set from them on each access. Builders
+    inside the package that already hold sorted, simple rows hand them over
+    as `_rows`, a list of n rows that becomes the graph's own, with no check.
     """
 
-    __slots__ = ("n", "m", "_adj", "_edges")
+    __slots__ = ("n", "m", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), *,
                  _rows: list | None = None):
@@ -37,36 +36,35 @@ class Graph:
         self.n = n
         self.m = sum(map(len, _rows)) // 2
         self._adj = tuple(_rows)
-        self._edges: frozenset[tuple[int, int]] | None = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Every edge as a plain tuple (u, v) with u < v."""
-        if self._edges is None:
-            self._edges = frozenset(self.sorted_edges())
-        return self._edges
+        return frozenset(self.sorted_edges())
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return self._adj[v]
+        return self._adj[self.check_vertex(v)]
 
     def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return len(self._adj[v])
+        return len(self._adj[self.check_vertex(v)])
 
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = _vertex_id(u), _vertex_id(v)
         if not 0 <= u < self.n:
             return False
         row = self._adj[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
-    def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
+    def check_vertex(self, v: int) -> int:
+        """v as a plain int; ValueError unless it is an id in 0..n-1."""
+        i = _vertex_id(v)
+        if not 0 <= i < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return i
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, row in enumerate(self._adj)
@@ -89,16 +87,27 @@ class Graph:
         return type(self), (self.n, self.sorted_edges())
 
 
+def _vertex_id(x) -> int:
+    """x as a plain int, read through `__index__` as indexing a list reads
+    it (numpy's integers have one, 1.0 and "1" do not)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"vertex id {x!r} is not an integer") from None
+
+
 def _checked_rows(n: int, edges: Iterable) -> list[list[int]]:
-    """The sorted adjacency rows of n vertices and the given edges, or the
-    ValueError of the first bad edge in input order."""
+    """The sorted adjacency rows of n vertices and the given edges, ends read
+    as plain ints, or the ValueError of the first bad edge in input order."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if iter(edges) is edges:  # one-shot: keep it, an error rescans it
         edges = list(edges)
     adj: list[list[int]] = [[] for _ in range(n)]
+    index = operator.index
     try:
         for u, v in edges:
+            u, v = index(u), index(v)
             if not (0 <= u < v < n or 0 <= v < u < n):
                 raise ValueError
             adj[u].append(v)
@@ -121,21 +130,19 @@ def _raise_first_bad_edge(n: int, edges: Iterable, limit: int | None = None) -> 
 
     Each edge is judged in input order by the type of each end, then
     range, then self-loop, then duplicate, so the error is the one an
-    edge-by-edge check would raise. Returns when those edges hold none of
-    these faults.
+    edge-by-edge check would raise. The messages show the ends as given.
+    Returns when those edges hold none of these faults.
     """
     seen = set()
     for u, v in islice(edges, limit):
-        for x in (u, v):
-            if not hasattr(x, "__index__"):  # what indexing a row needs
-                raise ValueError(f"vertex id {x!r} is not an integer")
-        if not (0 <= u < n and 0 <= v < n):
+        a, b = _vertex_id(u), _vertex_id(v)
+        if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
+        if a == b:
             raise ValueError(f"self-loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
+        e = (a, b) if a < b else (b, a)
         if e in seen:
-            raise ValueError(f"duplicate edge {e}")
+            raise ValueError(f"duplicate edge {(u, v) if a < b else (v, u)}")
         seen.add(e)
 
 
@@ -145,13 +152,10 @@ def check_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
     Raises ValueError for the first id, in input order, with no `__index__`
     (as `Graph` judges edge ends), then for the smallest id out of range.
     """
-    members = list(members)
-    for v in members:
-        if not hasattr(v, "__index__"):
-            raise ValueError(f"vertex id {v!r} is not an integer")
-    out = sorted(set(map(operator.index, members)))
+    out = sorted(set(map(_vertex_id, members)))
     for v in out:
-        g.check_vertex(v)
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
     return tuple(out)
 
 
@@ -175,8 +179,7 @@ def _bfs_layers(g: Graph, source: int) -> Iterator[list[int]]:
 
 def bfs_distance(g: Graph, u: int, v: int) -> int | float:
     """Length of a shortest u-v path; math.inf when disconnected."""
-    g.check_vertex(u)
-    g.check_vertex(v)
+    u, v = g.check_vertex(u), g.check_vertex(v)
     for d, layer in enumerate(_bfs_layers(g, u)):
         if v in layer:
             return d
@@ -185,7 +188,7 @@ def bfs_distance(g: Graph, u: int, v: int) -> int | float:
 
 def neighborhood_within(g: Graph, v: int, r: int) -> tuple[int, ...]:
     """All vertices within distance r of v, including v itself."""
-    g.check_vertex(v)
+    v = g.check_vertex(v)
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     layers = zip(range(r + 1), _bfs_layers(g, v))  # stops before layer r + 1
@@ -230,14 +233,9 @@ def closed_masks(g: Graph) -> list[int]:
 
 
 def open_masks(g: Graph) -> list[int]:
-    """Open neighborhood of each vertex as a bitmask."""
-    masks = []
-    for row in g._adj:
-        m = 0
-        for u in row:
-            m |= 1 << u
-        masks.append(m)
-    return masks
+    """Open neighborhood of each vertex as a bitmask: its closed mask less
+    its own bit."""
+    return [m ^ 1 << v for v, m in enumerate(closed_masks(g))]
 
 
 def distance2_masks(g: Graph) -> list[int]:
@@ -265,19 +263,19 @@ class SplitPartition(Record):
     independent: tuple[int, ...]
 
     def validate(self, g: Graph) -> None:
+        ids = [_vertex_id(v) for v in self.clique + self.independent]
         seen: set[int] = set()
-        for v in self.clique + self.independent:
+        for v in ids:
             if v in seen:
                 raise ValueError(f"partition lists vertex {v} twice")
             seen.add(v)
         if seen != set(range(g.n)):
             raise ValueError("partition does not cover all vertices")
-        ks = sorted(self.clique)
-        for a in range(len(ks)):
-            for b in range(a + 1, len(ks)):
-                if not g.has_edge(ks[a], ks[b]):
-                    raise ValueError(f"clique part misses edge ({ks[a]},{ks[b]})")
-        i = set(self.independent)
-        for u, v in g.edges:
+        k = len(self.clique)
+        for a, b in combinations(sorted(ids[:k]), 2):
+            if not g.has_edge(a, b):
+                raise ValueError(f"clique part misses edge ({a},{b})")
+        i = set(ids[k:])
+        for u, v in g.sorted_edges():
             if u in i and v in i:
                 raise ValueError(f"independent part contains edge ({u},{v})")

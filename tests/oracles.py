@@ -8,6 +8,7 @@ test.
 import itertools
 import operator
 from collections import deque
+from fractions import Fraction
 
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64
@@ -28,6 +29,14 @@ class IndexOnly:
 
     def __repr__(self):
         return f"IndexOnly({self.value})"
+
+
+class IndexFraction(Fraction):
+    """A non-int vertex id that indexes a list and orders against ints, as
+    numpy's integers do."""
+
+    def __index__(self):
+        return int(self)
 
 
 def adjacency(n, edges):
@@ -347,31 +356,31 @@ def ref_graph(n, edges):
     """The edge-by-edge `Graph` constructor, the differential reference for
     `graph.Graph`: returns (m, edge set, sorted adjacency rows) or raises.
 
-    Each edge is unpacked, type-checked, range-checked, loop-checked and
+    Each edge is unpacked, and each end type-checked and read as a plain int
+    with `operator.index`. The edge is then range-checked, loop-checked and
     normalized to a plain (min, max) tuple, then looked up in the set of
     edges seen so far, so the error is always that of the first bad edge in
-    input order.
+    input order. Messages show the ends as given.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     seen = set()
     adj = [[] for _ in range(n)]
-    for e in edges:
-        u, v = e
+    for u, v in edges:
         for x in (u, v):
             if not hasattr(x, "__index__"):  # what indexing a row needs
                 raise ValueError(f"vertex id {x!r} is not an integer")
-        if not (0 <= u < n and 0 <= v < n):
+        a, b = operator.index(u), operator.index(v)
+        if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
+        if a == b:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (u < v and type(e) is tuple):
-            e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
-        adj[u].append(v)
-        adj[v].append(u)
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ValueError(f"duplicate edge {(u, v) if a < b else (v, u)}")
+        seen.add(key)
+        adj[a].append(b)
+        adj[b].append(a)
     return len(seen), frozenset(seen), tuple(tuple(sorted(a)) for a in adj)
 
 

@@ -444,6 +444,39 @@ class TestInProcess:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "size-cap" and "members" in doc["error"]
 
+    def test_exact_default_node_budget_exits_4(self, tmp_path, capsys, monkeypatch):
+        # unbounded, a semitotal search on P_300 runs for hours; the default
+        # budget, lowered here to keep the test fast, stops it with exit 4
+        monkeypatch.setattr(cli, "DEFAULT_MAX_NODES", 2000)
+        f = tmp_path / "path.txt"
+        f.write_text(write_edgelist(gen_named("path", 300)))
+        assert cli.main(["solve", "--algo", "exact", "--input", str(f)]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"error": "exact search exceeded its budget of 2000 nodes",
+                       "kind": "size-cap"}
+        # --max-nodes overrides the default: P_30 needs 101 nodes
+        monkeypatch.setattr(cli, "DEFAULT_MAX_NODES", 100)
+        f.write_text(write_edgelist(gen_named("path", 30)))
+        solve = ["solve", "--algo", "exact", "--input", str(f)]
+        assert cli.main(solve) == 4
+        assert "budget of 100 nodes" in json.loads(capsys.readouterr().out)["error"]
+        assert cli.main(solve + ["--max-nodes", "101"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("algo, fmt, budget, error", [
+        ("approx", "edgelist", "5", "--max-nodes requires --algo exact"),
+        ("interval", "intervals", "5", "--max-nodes requires --algo exact"),
+        ("exact", "edgelist", "0", "node budget must be positive, got 0"),
+        ("exact", "intervals", "-3", "node budget must be positive, got -3"),
+    ])
+    def test_bad_node_budget_exits_1(self, tmp_path, capsys, algo, fmt, budget, error):
+        f = tmp_path / "k2.txt"
+        f.write_text("2 1\n0 1\n" if fmt == "edgelist" else "2\n0 2\n1 3\n")
+        code = cli.main(["solve", "--algo", algo, "--format", fmt, "--input", str(f),
+                         "--max-nodes", budget])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc == {"error": error, "kind": "invalid-input"}
+
     def test_repeated_partition_label_exits_1(self, tmp_path, capsys):
         g, p = tmp_path / "s.txt", tmp_path / "s.partition"
         g.write_text("4 3\n0 1\n0 2\n1 3\n")

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semidom.approx import approx_semitotal
 from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
                                 _search, exact_min, verify)
 from semidom.errors import InfeasibleError, SizeCapError
@@ -468,7 +469,7 @@ class TestExactSearch:
         small = gen_connected_graph(12, 0.3, 1)
         for kind in (DOM, TOT, SEMI):
             assert exact_min(small, kind, max_nodes=10**6) == exact_min(small, kind)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=r"^node budget must be positive, got 0$"):
             exact_min(small, SEMI, max_nodes=0)
 
 
@@ -505,3 +506,18 @@ class TestInvariants:
             g2 = Graph(n, list(g.edges) + [extra])
             assert len(exact_min(g2, SEMI)) <= len(exact_min(g, SEMI))
             done += 1
+
+    def test_index_id_graph_gives_the_int_graph_answers(self):
+        # Graph stores ids that have __index__, as numpy's integers do, as
+        # plain ints, so the solvers' bit shifts see ints; n >= 64 is where
+        # a shift by a numpy id would overflow
+        g = gen_connected_graph(64, 0.08, 1)
+        same = Graph(g.n, [(oracles.IndexFraction(u), oracles.IndexFraction(v))
+                           for u, v in g.sorted_edges()])
+        assert same == g
+        for kind in (DOM, TOT, SEMI):
+            assert (exact_min(same, kind, max_nodes=10_000)
+                    == exact_min(g, kind, max_nodes=10_000)), kind
+        found = approx_semitotal(same)
+        assert found == approx_semitotal(g)
+        assert verify(same, found, SEMI) == verify(g, found, SEMI)

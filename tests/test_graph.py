@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
@@ -68,7 +69,6 @@ class TestGraphConstruction:
     @pytest.mark.parametrize("g", [Graph(0), Graph(3), C4, TWO_EDGES,
                                    intersection_graph(gen_interval_model(40, 3))])
     def test_pickle_and_copy_round_trip(self, g):
-        g.edges  # a cached edge set travels as the edges it holds
         clones = [pickle.loads(pickle.dumps(g, protocol))
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for clone in clones + [copy.copy(g), copy.deepcopy(g)]:
@@ -79,13 +79,6 @@ class TestGraphConstruction:
 
 
 Edge = namedtuple("Edge", "u v")
-
-
-class IndexFraction(Fraction):
-    """A non-int vertex id that indexes a list, as numpy's integers do."""
-
-    def __index__(self):
-        return int(self)
 
 
 def _outcome(build):
@@ -113,6 +106,7 @@ def _same_as_reference(n, make_edges):
             == {(e, type(e), type(e[0]), type(e[1])) for e in edges})
     assert g.sorted_edges() == sorted(edges)
     assert [g.neighbors(v) for v in range(n)] == list(rows)
+    assert all(type(x) is int for v in range(n) for x in g.neighbors(v))
     assert [g.degree(v) for v in range(n)] == [len(r) for r in rows]
     for u, v in itertools.product(range(-1, n + 1), repeat=2):
         assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
@@ -183,7 +177,14 @@ class TestGraphAgainstReference:
             (3, [(0, "1")]),
             (3, [(0, 7.5)]),                  # the type is judged before the range
             (3, [(0, 1), (Fraction(1), 2)]),
-            (3, [(IndexFraction(0), 1), (0, 5)]),  # an __index__ type is an integer
+            (3, [(oracles.IndexFraction(0), 1), (0, 5)]),  # an __index__ type is an integer
+            # such ids build, and the rows hold them as plain ints
+            (4, [(oracles.IndexOnly(0), 1), (oracles.IndexOnly(3), oracles.IndexOnly(2))]),
+            (4, [(oracles.IndexFraction(2), oracles.IndexFraction(0)), (1, 3)]),
+            (3, [(True, 2), (0, 1)]),
+            (3, [(True, 2), (2, 1)]),         # a duplicate names the ends as given
+            (3, [(0, True), (True, True)]),
+            (3, [(oracles.IndexOnly(0), 3)]),
         ]
         for n, edges in cases:
             _same_as_reference(n, lambda: list(edges))
@@ -333,6 +334,41 @@ def test_intersection_graph_construction_memory():
         tracemalloc.stop()
     assert peak < 6 * 2**20, peak
     assert g == oracles.ref_intersection_graph(m)
+
+
+NON_INTEGER_ID_CALLS = {
+    "Graph": lambda x: Graph(4, [(0, 1), (2, x)]),
+    "check_vertex_set": lambda x: check_vertex_set(P4, [0, x]),
+    "check_vertex": lambda x: P4.check_vertex(x),
+    "neighbors": lambda x: P4.neighbors(x),
+    "degree": lambda x: P4.degree(x),
+    "has_edge-first": lambda x: P4.has_edge(x, 0),
+    "has_edge-second": lambda x: P4.has_edge(0, x),
+    "bfs_distance-first": lambda x: bfs_distance(P4, x, 2),
+    "bfs_distance-second": lambda x: bfs_distance(P4, 0, x),
+    "neighborhood_within": lambda x: neighborhood_within(P4, x, 1),
+    "SplitPartition.validate": lambda x: SplitPartition((x, 2), (0, 3)).validate(P4),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0])
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_ID_CALLS))
+def test_every_entry_point_names_a_non_integer_id(name, bad):
+    # 1.0 equals the id 1 but cannot index a row, so it is no id either
+    with pytest.raises(ValueError, match=rf"^vertex id {re.escape(repr(bad))} is not an integer$"):
+        NON_INTEGER_ID_CALLS[name](bad)
+
+
+def test_every_entry_point_reads_index_ids_as_ints():
+    one, two = oracles.IndexOnly(1), oracles.IndexFraction(2)
+    assert P4.check_vertex(one) == 1 and type(P4.check_vertex(two)) is int
+    assert P4.neighbors(one) == (0, 2) and P4.degree(two) == 2
+    assert P4.has_edge(one, two) and not P4.has_edge(oracles.IndexOnly(9), one)
+    assert bfs_distance(P4, oracles.IndexOnly(0), two) == 2
+    assert neighborhood_within(P4, one, 1) == (0, 1, 2)
+    SplitPartition((one, two), (oracles.IndexOnly(0), 3)).validate(P4)
+    with pytest.raises(ValueError, match=r"^partition lists vertex 1 twice$"):
+        SplitPartition((one, 2), (1, 0, 3)).validate(P4)
 
 
 class TestCheckVertexSet:
