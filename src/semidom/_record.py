@@ -1,11 +1,12 @@
 """The base of the package's small immutable records.
 
 A record subclasses `Record` and names its fields, in order, in
-`__slots__`; `_defaults` maps trailing fields to their default values.
-Records are built positionally or by keyword, compare equal to records of
-the same class with equal fields, hash as the tuple of their fields, print
-as `Name(field=value, ...)`, refuse assignment and deletion with
-AttributeError, and pickle and copy by calling the class on their fields.
+`__slots__`. Every field is required, and a value that other fields fix
+is a property, not a field. Records are built positionally or by keyword,
+compare equal to records of the same class with equal fields, hash as the
+tuple of their fields, print as `Name(field=value, ...)`, refuse
+assignment and deletion with AttributeError, and pickle and copy by
+calling the class on their fields.
 A subclass may define `__post_init__` to check the new record.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 class Record:
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -37,8 +37,6 @@ class Record:
         for name in names[len(args):]:
             if name in kwargs:
                 values.append(kwargs.pop(name))
-            elif name in cls._defaults:
-                values.append(cls._defaults[name])
             else:
                 missing.append(name)
         for name in kwargs:

@@ -19,10 +19,9 @@ from .graph import Graph, check_vertex_set, closed_masks, is_connected
 class SetCoverInstance(Record):
     """Universe X plus the family of owned candidate sets (empty sets dropped)."""
 
-    __slots__ = ("universe", "family", "max_set_size")
+    __slots__ = ("universe", "family")
     universe: tuple[int, ...]
     family: tuple[tuple[int, tuple[int, ...]], ...]  # (owner, members)
-    max_set_size: int
 
 
 def _greedy_cover(uncovered: int, family) -> list[int]:
@@ -85,8 +84,7 @@ def build_semitotal_setcover(g: Graph, d) -> SetCoverInstance:
         for u in near - in_d:
             owned.setdefault(u, []).append(x)
     family = tuple((u, tuple(xs)) for u, xs in sorted(owned.items()))
-    p = max((len(xs) for _, xs in family), default=0)
-    return SetCoverInstance(universe=universe, family=family, max_set_size=p)
+    return SetCoverInstance(universe=universe, family=family)
 
 
 def greedy_set_cover(inst: SetCoverInstance) -> list[int]:

@@ -42,6 +42,10 @@ GADGET_KINDS = ("gp4", "bipartite", "split", "ln", "apx")
 # `solve --algo exact` node budget when --max-nodes is not given
 DEFAULT_MAX_NODES = 250_000
 
+# most edges `solve --algo exact|approx` builds from an interval model;
+# 4472 identical intervals, just under it, take 3.4-5.0 s and 486 MB
+MAX_INTERVAL_EDGES = 10_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # unknown flags and bad values exit 1, not 2
@@ -91,6 +95,11 @@ def _cmd_solve(args) -> tuple[dict, int]:
         raise ValueError("--algo interval requires --format intervals")
     if inst.n == 0:  # one message for every route, before any solver sees it
         raise ValueError("graph is empty")
+    if args.algo != "interval" and isinstance(inst, IntervalModel):
+        m = intersection_edge_count(inst)  # O(n log n), with no graph built
+        if m > MAX_INTERVAL_EDGES:
+            raise SizeCapError(f"interval graph too large for --algo {args.algo}: "
+                               f"{m} edges (cap m<={MAX_INTERVAL_EDGES})")
     # the interval solver needs only the model, so an infeasible model exits
     # before its O(n^2) intersection graph is built for the check
     g = None if args.algo == "interval" else _graph_of(inst)

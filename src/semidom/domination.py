@@ -38,9 +38,12 @@ class ViolationReason(enum.Enum):
 
 
 class VerificationReport(Record):
-    __slots__ = ("valid", "violations")
-    valid: bool
+    __slots__ = ("violations",)
     violations: tuple[tuple[int, ViolationReason], ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def verify(g: Graph, s, kind: DominationKind) -> VerificationReport:
@@ -71,7 +74,7 @@ def verify(g: Graph, s, kind: DominationKind) -> VerificationReport:
         violations += [(v, ViolationReason.NO_PARTNER_WITHIN_2) for v in members
                        if cover[v] < 2 and all(cover[u] < 2 for u in adj[v])]
         violations.sort(key=lambda t: t[0])  # a vertex has at most one reason
-    return VerificationReport(valid=not violations, violations=tuple(violations))
+    return VerificationReport(tuple(violations))
 
 
 def check_no_isolated(g: Graph) -> None:

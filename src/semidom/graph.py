@@ -262,7 +262,9 @@ class SplitPartition(Record):
     clique: tuple[int, ...]
     independent: tuple[int, ...]
 
-    def validate(self, g: Graph) -> None:
+    def validate(self, g: Graph) -> SplitPartition:
+        """This partition with each part as sorted plain ints, or the
+        ValueError of its first fault on g."""
         ids = [_vertex_id(v) for v in self.clique + self.independent]
         seen: set[int] = set()
         for v in ids:
@@ -272,10 +274,12 @@ class SplitPartition(Record):
         if seen != set(range(g.n)):
             raise ValueError("partition does not cover all vertices")
         k = len(self.clique)
-        for a, b in combinations(sorted(ids[:k]), 2):
+        clique, independent = tuple(sorted(ids[:k])), tuple(sorted(ids[k:]))
+        for a, b in combinations(clique, 2):
             if not g.has_edge(a, b):
                 raise ValueError(f"clique part misses edge ({a},{b})")
-        i = set(ids[k:])
+        i = set(independent)
         for u, v in g.sorted_edges():
             if u in i and v in i:
                 raise ValueError(f"independent part contains edge ({u},{v})")
+        return SplitPartition(clique, independent)

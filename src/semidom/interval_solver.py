@@ -74,8 +74,7 @@ class SplitDigraph(Record):
     (src, dst, length).
     """
 
-    __slots__ = ("interval_count", "nodes", "arcs")
-    interval_count: int
+    __slots__ = ("nodes", "arcs")
     nodes: tuple[Node, ...]
     arcs: tuple[tuple[Node, Node, int], ...]
 
@@ -166,8 +165,7 @@ def build_split_digraph(d: OverlapDigraph) -> SplitDigraph:
 
     A test reference, off every solve path, like `build_overlap_digraph`.
     """
-    n = d.n
-    sink = n + 1
+    sink = d.n + 1
     inner = [i for i in d.vertices if i != 0 and i != sink]
     nodes: list[Node] = [SOURCE]
     for i in inner:
@@ -184,7 +182,7 @@ def build_split_digraph(d: OverlapDigraph) -> SplitDigraph:
             arcs.append((("in", i), ("out", j), 1))
         else:
             arcs.append((("out", i), ("in", j), 1))
-    return SplitDigraph(interval_count=n, nodes=tuple(nodes), arcs=tuple(arcs))
+    return SplitDigraph(nodes=tuple(nodes), arcs=tuple(arcs))
 
 
 def shortest_constrained_path(dprime: SplitDigraph) -> tuple[int, ...]:

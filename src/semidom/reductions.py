@@ -1,7 +1,8 @@
 """Gadget constructions mapping between domination-style problems.
 
 Each builder takes a source graph G on vertices 0..n-1 and produces a gadget
-graph H together with a role map tying every H-vertex back to its origin.
+graph H together with a role map tying every H-vertex back to its origin;
+the output keeps G itself, which lifting and projection read.
 Original vertices keep their ids; gadget vertices are appended block by block
 (one block per role tag, index-ascending inside a block), so the numbering is
 deterministic and stable.
@@ -43,14 +44,11 @@ class GadgetKind(enum.Enum):
 
 
 class GadgetOutput(Record):
-    __slots__ = ("h", "kind", "roles", "source_size", "source_edges", "partition")
-    _defaults = {"partition": None}
+    __slots__ = ("h", "kind", "roles", "source")
     h: Graph
     kind: GadgetKind
     roles: dict[int, Role]
-    source_size: int
-    source_edges: tuple[tuple[int, int], ...]
-    partition: SplitPartition | None
+    source: Graph  # the source graph G
 
     def vertices_with_tag(self, tag: str) -> list[int]:
         return sorted(v for v, role in self.roles.items() if role[0] == tag)
@@ -67,7 +65,6 @@ class _Source(Record):
     """The source problem of a reduction."""
 
     __slots__ = ("key", "name", "measure")
-    _defaults = {"measure": None}
     key: str  # check_reduction details key of its optimum
     name: str  # for extend_solution's error message
     measure: DominationKind | None  # None: vertex cover
@@ -85,7 +82,7 @@ class _Source(Record):
 
 _TOTAL = _Source("total_g", "a total dominating set", DominationKind.TOTAL)
 _DOMINATING = _Source("gamma_g", "a dominating set", DominationKind.DOMINATING)
-_COVER = _Source("tau_g", "a vertex cover")
+_COVER = _Source("tau_g", "a vertex cover", None)
 
 
 class _Layout(Record):
@@ -153,8 +150,8 @@ def build_gadget(g: Graph, kind: GadgetKind,
     if kind is GadgetKind.SPLIT:
         if partition is None:
             raise ValueError("split gadget needs a split partition")
-        partition.validate(g)
-        origins = {"x": sorted(partition.clique), "y": sorted(partition.independent)}
+        part = partition.validate(g)  # plain-int parts, sorted
+        origins = {"x": part.clique, "y": part.independent}
 
     roles: dict[int, Role] = {v: ("original", v) for v in range(n)}
     for tag in layout.blocks:
@@ -170,15 +167,15 @@ def build_gadget(g: Graph, kind: GadgetKind,
             if None not in ends:
                 he.add(ends)
     if kind is GadgetKind.SPLIT:  # the clique (x's origins) enlarged by every y_j, s and w
-        clique_h = origins["x"] + [v for v, (tag, _) in roles.items() if tag in ("y", "s", "w")]
+        clique_h = list(origins["x"]) + [v for v, (tag, _) in roles.items()
+                                         if tag in ("y", "s", "w")]
         he.update(itertools.combinations(sorted(clique_h), 2))
     if kind is GadgetKind.APX:
         for idx, (a, b) in enumerate(edges):
             ev = len(roles)
             roles[ev] = ("edge", idx)
             he.update([(a, ev), (b, ev)])
-    return GadgetOutput(h=Graph(len(roles), he), kind=kind, roles=roles, source_size=n,
-                        source_edges=tuple(edges), partition=partition)
+    return GadgetOutput(h=Graph(len(roles), he), kind=kind, roles=roles, source=g)
 
 
 def extend_solution(go: GadgetOutput, d_g) -> tuple[int, ...]:
@@ -188,7 +185,7 @@ def extend_solution(go: GadgetOutput, d_g) -> tuple[int, ...]:
     set (GP4) or a vertex cover (APX); the output then satisfies TOTAL on H
     for GP4 and SEMITOTAL on H for the other kinds.
     """
-    g = Graph(go.source_size, go.source_edges)
+    g = go.source
     members = set(check_vertex_set(g, d_g))
     layout = _LAYOUT[go.kind]
     if not layout.source.solved_by(g, members):
@@ -210,8 +207,9 @@ def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
     members = set(check_vertex_set(go.h, d_h))
     if not verify(go.h, members, need).valid:
         raise ValueError("d_h is not valid on the gadget graph")
-    g = Graph(go.source_size, go.source_edges)
+    g = go.source
     project = _LAYOUT[kind].project
+    edges = g.sorted_edges()  # build_gadget numbered the edge vertices in this order
     out = set()
     for v in members:
         tag, i = go.roles[v]
@@ -219,7 +217,7 @@ def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
         if rule == "origin":
             out.add(i)
         elif rule == "endpoint":  # edge vertex -> smaller endpoint
-            out.add(min(go.source_edges[i]))
+            out.add(min(edges[i]))
         elif rule == "neighbor":  # w_i -> smallest source neighbor of v_i
             nb = g.neighbors(i)
             if not nb:
@@ -230,7 +228,7 @@ def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
         # uncovered, and only when no clique vertex was selected; swapping
         # one independent member for one of its clique neighbors fixes every
         # such vertex without changing the cardinality.
-        indep_members = sorted(out & set(go.partition.independent))
+        indep_members = sorted(out & {i for tag, i in go.roles.values() if tag == "y"})
         if not indep_members:
             raise InfeasibleError("gadget solution cannot be projected: empty independent part")
         u_star = indep_members[0]

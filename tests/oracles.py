@@ -242,8 +242,8 @@ def ref_greedy_dominating_set(n, edges):
 
 def ref_build_semitotal_setcover(n, edges, d):
     """The distance-2-mask set-cover build, the differential reference for
-    `approx.build_semitotal_setcover`; returns (universe, family,
-    max_set_size) and raises the same errors, in the same order."""
+    `approx.build_semitotal_setcover`; returns (universe, family) and
+    raises the same errors, in the same order."""
     members = list(d)
     for v in members:
         if not hasattr(v, "__index__"):
@@ -277,7 +277,7 @@ def ref_build_semitotal_setcover(n, edges, d):
         s = partner[u] & xmask
         if s:
             family.append((u, tuple(v for v in universe if (s >> v) & 1)))
-    return universe, tuple(family), max((len(s) for _, s in family), default=0)
+    return universe, tuple(family)
 
 
 def ref_greedy_set_cover(universe, family):

@@ -49,7 +49,6 @@ class TestBuildSetcover:
         inst = build_semitotal_setcover(STAR3, (0,))
         assert inst.universe == (0,)
         assert inst.family == ((1, (0,)), (2, (0,)), (3, (0,)))
-        assert inst.max_set_size == 1
 
     def test_adjacent_dominators_need_nothing(self):
         inst = build_semitotal_setcover(P4, (1, 2))
@@ -82,17 +81,15 @@ class TestBuildSetcover:
 
 class TestGreedySetCover:
     def test_tie_break_smallest_owner(self):
-        inst = SetCoverInstance(universe=(0,),
-                                family=((1, (0,)), (2, (0,)), (3, (0,))),
-                                max_set_size=1)
+        inst = SetCoverInstance(universe=(0,), family=((1, (0,)), (2, (0,)), (3, (0,))))
         assert greedy_set_cover(inst) == [1]
 
     def test_empty_universe(self):
-        inst = SetCoverInstance(universe=(), family=(), max_set_size=0)
+        inst = SetCoverInstance(universe=(), family=())
         assert greedy_set_cover(inst) == []
 
     def test_uncoverable(self):
-        inst = SetCoverInstance(universe=(0, 5), family=((1, (0,)),), max_set_size=1)
+        inst = SetCoverInstance(universe=(0, 5), family=((1, (0,)),))
         with pytest.raises(ValueError):
             greedy_set_cover(inst)
 
@@ -110,8 +107,7 @@ class TestGreedySetCover:
             family.append((99, universe))  # keep it coverable
             family.sort()
             p = max(len(s) for _, s in family)
-            inst = SetCoverInstance(universe=universe, family=tuple(family),
-                                    max_set_size=p)
+            inst = SetCoverInstance(universe=universe, family=tuple(family))
             chosen = greedy_set_cover(inst)
             sets = {owner: set(s) for owner, s in family}
             assert set().union(*(sets[o] for o in chosen)) >= set(universe)
@@ -209,25 +205,24 @@ def assert_matches_reference(n, edges, d):
     got = outcome(build_semitotal_setcover, g, d)
     if got[0] == "ok":
         inst = got[1]
-        got = "ok", (inst.universe, inst.family, inst.max_set_size)
+        got = "ok", (inst.universe, inst.family)
     want = outcome(oracles.ref_build_semitotal_setcover, n, edges, d)
     assert got == want
     if got[0] == "ok":
-        universe, family, _ = want[1]
+        universe, family = want[1]
         assert (outcome(greedy_set_cover, inst)
                 == outcome(oracles.ref_greedy_set_cover, universe, family))
     if want_d[0] == "ok":
         dom = want_d[1]
         build = outcome(oracles.ref_build_semitotal_setcover, n, edges, dom)
         if build[0] == "ok":
-            t = oracles.ref_greedy_set_cover(*build[1][:2])
+            t = oracles.ref_greedy_set_cover(*build[1])
             build = "ok", tuple(sorted(set(dom) | set(t)))
         assert outcome(approx_semitotal, g) == build
 
 
 def assert_cover_matches_reference(universe, family):
-    inst = SetCoverInstance(universe=tuple(universe), family=tuple(family),
-                            max_set_size=max((len(s) for _, s in family), default=0))
+    inst = SetCoverInstance(universe=tuple(universe), family=tuple(family))
     assert (outcome(greedy_set_cover, inst)
             == outcome(oracles.ref_greedy_set_cover, universe, family))
 
@@ -287,7 +282,7 @@ class TestAgainstReference:
 
     def test_negative_owner_is_picked(self):
         # the reference's -1 "no pick" sentinel made such an owner raise
-        inst = SetCoverInstance(universe=(0,), family=((-2, (0,)),), max_set_size=1)
+        inst = SetCoverInstance(universe=(0,), family=((-2, (0,)),))
         assert greedy_set_cover(inst) == [-2]
 
 

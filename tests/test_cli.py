@@ -435,6 +435,40 @@ class TestInProcess:
         doc = json.loads(capsys.readouterr().out)
         assert code == 3 and doc == {"error": "isolated vertex 8000", "kind": "infeasible"}
 
+    @pytest.mark.parametrize("algo", ["exact", "approx"])
+    def test_interval_edge_cap_exits_4_before_the_graph(self, tmp_path, capsys, monkeypatch,
+                                                        algo):
+        # 20,000 identical intervals: their 199,990,000 edges would take some
+        # 10 GB, so they are counted from the model and refused
+        f = tmp_path / "m.txt"
+        f.write_text("20000\n" + "0 1\n" * 20000)
+
+        def no_graph(model):
+            raise AssertionError("solve built the intersection graph")
+
+        monkeypatch.setattr(cli, "intersection_graph", no_graph)
+        t0 = time.perf_counter()
+        code = cli.main(["solve", "--algo", algo, "--format", "intervals", "--input", str(f)])
+        assert time.perf_counter() - t0 < 2.0
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 4 and doc == {
+            "error": f"interval graph too large for --algo {algo}: 199990000 edges "
+                     "(cap m<=10000000)",
+            "kind": "size-cap"}
+
+    @pytest.mark.parametrize("algo", ["exact", "approx"])
+    def test_interval_edge_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch, algo):
+        monkeypatch.setattr(cli, "MAX_INTERVAL_EDGES", 3)
+        f = tmp_path / "m.txt"
+        f.write_text("3\n0 1\n0 1\n0 1\n")  # 3 edges
+        assert cli.main(["solve", "--algo", algo, "--format", "intervals",
+                         "--input", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 3
+        f.write_text("4\n0 1\n0 1\n0 1\n0 1\n")  # 6 edges
+        assert cli.main(["solve", "--algo", algo, "--format", "intervals",
+                         "--input", str(f)]) == 4
+        assert "6 edges (cap m<=3)" in json.loads(capsys.readouterr().out)["error"]
+
     def test_exact_member_cap_exits_4(self, tmp_path, capsys):
         f = tmp_path / "path.txt"
         f.write_text(write_edgelist(gen_named("path", 3100)))

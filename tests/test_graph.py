@@ -570,7 +570,22 @@ class TestCanonicalize:
 class TestSplitPartition:
     def test_valid_partition(self):
         g = Graph(3, [(0, 1), (0, 2)])
-        SplitPartition(clique=(0, 1), independent=(2,)).validate(g)
+        part = SplitPartition(clique=(0, 1), independent=(2,))
+        assert part.validate(g) == part
+
+    @pytest.mark.parametrize("ids", [
+        lambda v: v,  # the parts below are shuffled
+        oracles.IndexFraction,
+        oracles.IndexOnly,
+        lambda v: {0: False, 1: True}.get(v, v),
+    ], ids=["int", "IndexFraction", "IndexOnly", "bool"])
+    def test_validate_returns_sorted_plain_int_parts(self, ids):
+        # P4 = 0-1-2-3: clique {1, 2}, independent {0, 3}
+        part = SplitPartition(tuple(map(ids, (2, 1))), tuple(map(ids, (3, 0))))
+        got = part.validate(P4)
+        assert got == SplitPartition((1, 2), (0, 3))
+        assert {type(v) for v in got.clique + got.independent} == {int}
+        assert type(got.clique) is type(got.independent) is tuple
 
     def test_rejects_edge_inside_independent(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -121,6 +121,17 @@ class TestBuildGadget:
         go = build_gadget(g, GadgetKind.SPLIT, part)
         assert go.h.n == 2 * 2 + 5 == 9
 
+    @pytest.mark.parametrize("wrap", [oracles.IndexOnly, oracles.IndexFraction])
+    def test_split_parts_of_index_ids_give_plain_int_roles(self, wrap):
+        g, part = gen_split_graph(3, 3, 0.4, 5)
+        # the clique given in reverse order
+        odd = SplitPartition(tuple(map(wrap, reversed(part.clique))),
+                             tuple(map(wrap, part.independent)))
+        go = build_gadget(g, GadgetKind.SPLIT, odd)
+        assert go == build_gadget(g, GadgetKind.SPLIT, part)
+        assert {type(i) for _, i in go.roles.values()} == {int, type(None)}
+        assert check_reduction(g, GadgetKind.SPLIT, odd).holds
+
     def test_split_requires_partition(self):
         with pytest.raises(ValueError):
             build_gadget(K2, GadgetKind.SPLIT)
@@ -334,6 +345,30 @@ class TestExtractSolution:
         assert verify(g, dg, DOM).valid
         assert len(dg) <= len(dh) - 2
         assert dg == (0,)
+
+    @pytest.mark.parametrize("kind", list(GadgetKind))
+    def test_lift_and_projection_build_no_graph(self, kind, monkeypatch):
+        part, repair = None, ()
+        if kind is GadgetKind.SPLIT:  # vertex 1 has no independent neighbor
+            g, part = Graph(3, [(0, 1), (0, 2)]), SplitPartition((1, 0), (2,))
+        else:
+            g = gen_connected_graph(3 if kind is GadgetKind.APX else 4, 0.5, 41)
+        go = build_gadget(g, kind, part)
+        if kind is GadgetKind.SPLIT:  # selects no clique vertex, so the repair runs
+            repair = ((2, *go.vertices_with_tag("w"), *go.vertices_with_tag("s")),)
+        dg = (min_vertex_cover(g) if kind is GadgetKind.APX
+              else exact_min(g, TOT if kind is GadgetKind.GP4 else DOM))
+        dh = exact_min(go.h, TOT if kind is GadgetKind.GP4 else SEMI)
+        lifted = extend_solution(go, dg)
+        backs = [extract_solution(go, d) for d in (dh, lifted, *repair)]
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("built a Graph")
+
+        monkeypatch.setattr("semidom.reductions.Graph", no_graph)
+        assert go.source is g
+        assert extend_solution(go, dg) == lifted
+        assert [extract_solution(go, d) for d in (dh, lifted, *repair)] == backs
 
     def test_extend_then_extract_bounds_all_kinds(self):
         rng = SplitMix64(123)
