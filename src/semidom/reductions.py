@@ -105,26 +105,37 @@ class _Layout(Record):
     cap: int  # largest source n that check_reduction's exact oracle takes
 
 
+# cap: the largest source size measured whose slowest check_reduction took
+# under 3 s; the next size up took 6 s or more. Sources per size: 18, namely
+# gen_connected_graph(n, p, s) for p in {3/n, 0.1, 0.3, 0.6, 0.9} and s in
+# 0-2 plus the path, cycle and star (SPLIT: 45, gen_split_graph(c, n - c, p,
+# s) for c in {n/3, n/2, 2n/3}). Slowest, one run each, CPython 3.11.7 on a
+# shared 2-core Xeon ("+": stopped early, at least this):
+#   GP4        32: 0.32 s   40: 1.17 s   48: 5.96 s
+#   BIPARTITE  48: 0.72 s   64: 2.61 s   80: 9.21+ s
+#   SPLIT      96: 0.04 s  128: 0.32 s  192: 69.3+ s
+#   LN         48: 0.08 s   64: 0.50 s   80: 8.88 s
+#   APX        32: 0.44 s   40: 2.95 s   48: 8.79 s
 _LAYOUT = {
     # lifted by x_i and y_i: they dominate the whole pendant path totally
     # (w_i would leave y_i without a neighbor in the set)
     GadgetKind.GP4: _Layout(("w", "x", "y", "z"), (), ("vw", "wx", "xy", "yz"),
-                            ("x", "y"), {"w": "neighbor"}, _TOTAL, 4),
+                            ("x", "y"), {"w": "neighbor"}, _TOTAL, 40),
     GadgetKind.BIPARTITE: _Layout(("x", "y", "z", "u", "w"), (),
                                   ("xy", "yz", "zu", "uw", "vz"),
-                                  ("u", "y"), {"z": "origin"}, _DOMINATING, 4),
+                                  ("u", "y"), {"z": "origin"}, _DOMINATING, 64),
     # x over the clique, y over the independent set; the enlarged clique is
     # wired in build_gadget
     GadgetKind.SPLIT: _Layout(("x", "y"), ("w", "z", "r", "s", "t"),
                               ("vx", "xw", "vy", "yt", "rs", "st", "wz"),
                               ("w", "s"), {"x": "origin", "y": "origin"},
-                              _DOMINATING, 6),
+                              _DOMINATING, 128),
     GadgetKind.LN: _Layout(("x",), ("y", "z"), ("vx", "xy", "yz"),
-                           ("y",), {"x": "origin"}, _DOMINATING, 6),
+                           ("y",), {"x": "origin"}, _DOMINATING, 64),
     # one "edge" vertex per source edge follows the blocks
     GadgetKind.APX: _Layout(("u", "x", "y", "z", "w"), (),
                             ("vu", "uw", "ux", "xy", "yz", "zu"),
-                            ("u", "y"), {"edge": "endpoint"}, _COVER, 3),
+                            ("u", "y"), {"edge": "endpoint"}, _COVER, 40),
 }
 
 
@@ -239,15 +250,27 @@ def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
 
 
 def min_vertex_cover(g: Graph) -> tuple[int, ...]:
-    """Exhaustive minimum vertex cover (lexicographically smallest optimum)."""
+    """Minimum vertex cover of g, lexicographically smallest among optima.
+
+    Solved as domination: H keeps g's non-isolated vertices, relabelled in
+    increasing order, and adds one vertex per edge, adjacent to both its
+    ends, after all of them. Isolated vertices are in no minimum cover.
+    A set of original vertices dominates H exactly when it covers every
+    edge, and swapping an edge vertex in a dominating set for one of its
+    ends gives a set no larger and lexicographically smaller. So the
+    lexicographically smallest minimum dominating set of H holds no edge
+    vertex, and it is the lexicographically smallest minimum cover.
+    Raises SizeCapError where exact_min does, so a component whose cover
+    needs more than 500 members is refused.
+    """
     edges = g.sorted_edges()
     if not edges:
         return ()
-    for size in range(1, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            chosen = set(subset)
-            if all(a in chosen or b in chosen for a, b in edges):
-                return subset
+    ends = sorted({v for e in edges for v in e})
+    pos = {v: i for i, v in enumerate(ends)}
+    h = Graph(len(ends) + len(edges), [(pos[a], pos[b]) for a, b in edges]
+              + [(pos[v], len(ends) + j) for j, e in enumerate(edges) for v in e])
+    return tuple(ends[i] for i in exact_min(h, DominationKind.DOMINATING))
 
 
 def _check_source_size(kind: GadgetKind, n: int) -> None:
@@ -262,10 +285,11 @@ def check_reduction(g: Graph, kind: GadgetKind,
                     partition: SplitPartition | None = None) -> ReductionReport:
     """Compare both sides of a gadget identity with the exact oracle.
 
-    A size cap per kind keeps the brute force affordable; a larger source
-    raises SizeCapError before anything is built. A SPLIT partition with an
-    empty independent part raises ValueError: the identity
-    semitotal_h = gamma_g + 2 does not hold there.
+    The exact searches grow exponentially, so a size cap per kind, set from
+    the times measured beside _LAYOUT, keeps a check to a few seconds; a
+    larger source raises SizeCapError before anything is built. A SPLIT
+    partition with an empty independent part raises ValueError: the
+    identity semitotal_h = gamma_g + 2 does not hold there.
     """
     _check_source_size(kind, g.n)
     go = build_gadget(g, kind, partition)

@@ -302,15 +302,14 @@ def ref_greedy_set_cover(universe, family):
     return chosen
 
 
-def brute_min_vertex_cover_size(n, edges):
-    if not edges:
-        return 0
-    for k in range(1, n + 1):
+def brute_min_vertex_cover(n, edges):
+    """Lexicographically smallest minimum vertex cover, by enumerating
+    subsets in size order."""
+    for k in range(n + 1):
         for subset in itertools.combinations(range(n), k):
             chosen = set(subset)
             if all(u in chosen or v in chosen for u, v in edges):
-                return k
-    return n
+                return subset
 
 
 def brute_overlap_arcs(intervals):

@@ -18,12 +18,12 @@ from semidom.cli import main as cli_main
 from semidom.domination import DominationKind, exact_min, verify
 from semidom.errors import InfeasibleError
 from semidom.generators import (SplitMix64, gen_connected_graph,
-                                gen_interval_model, gen_split_graph)
+                                gen_interval_model, gen_named, gen_split_graph)
 from semidom.graph import Graph, is_connected
 from semidom.intervals import intersection_graph
 from semidom.interval_solver import solve_interval
-from semidom.reductions import (GadgetKind, build_gadget, check_reduction,
-                                min_vertex_cover)
+from semidom.reductions import (_LAYOUT, GadgetKind, build_gadget,
+                                check_reduction, min_vertex_cover)
 
 import oracles
 
@@ -199,6 +199,34 @@ def test_criterion_5_gadget_equalities():
     report(5, ok,
            f"BIPARTITE {checked} sources ({t_bip:.1f}s), SPLIT {split_checked} "
            f"({t_split:.1f}s), APX {apx_checked} ({t_apx:.1f}s), each < 60s")
+
+
+def test_gadget_identities_at_the_caps():
+    # beside criterion 5: every kind's identity on seeded sources of the
+    # largest size check_reduction takes, each kind within its own budget
+    lines = []
+    for kind in GadgetKind:
+        cap = _LAYOUT[kind].cap
+        if kind is GadgetKind.SPLIT:
+            sources = [gen_split_graph(cap // 2, cap - cap // 2, p, s)
+                       for p, s in ((0.1, 0), (0.3, 1), (0.6, 2))]
+        else:
+            sources = [(gen_named("path", cap), None)] + [
+                (gen_connected_graph(cap, p, s), None)
+                for p, s in ((3 / cap, 0), (0.6, 2))]
+        t0 = time.perf_counter()
+        for g, part in sources:
+            assert g.n == cap
+            rep = check_reduction(g, kind, part)
+            assert rep.holds, (kind, g.sorted_edges(), rep.details)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 20, (kind, elapsed)
+        lines.append(f"{kind.value} n={cap} x{len(sources)} {elapsed:.2f}s")
+    t0 = time.perf_counter()
+    assert check_reduction(gen_connected_graph(24, 0.3, 0), GadgetKind.APX).holds
+    t_apx = time.perf_counter() - t0
+    report("gadget-caps", t_apx < 1,
+           f"{', '.join(lines)} (each < 20s); APX n=24 p=0.3 {t_apx:.3f}s (< 1s)")
 
 
 def test_criterion_6_approx_guarantee():

@@ -172,8 +172,8 @@ class TestCheckReduction:
         assert code == 0 and doc["holds"] is True
 
     def test_size_cap_exits_4(self, tmp_path):
-        g = tmp_path / "p9.txt"
-        run_cli("gen", "--family", "path", "--size", "9", "--output", str(g))
+        g = tmp_path / "p65.txt"
+        run_cli("gen", "--family", "path", "--size", "65", "--output", str(g))
         code, doc = run_cli("check-reduction", "--kind", "bipartite",
                             "--input", str(g))
         assert code == 4 and doc["kind"] == "size-cap"
@@ -327,10 +327,13 @@ class TestInProcess:
         assert code == 1 and doc == {"error": error, "kind": "invalid-input"}
 
     @pytest.mark.parametrize("argv, kind, cap", [
-        (["--kind", "split", "--clique", "2000", "--ind", "2"], "SPLIT", 6),
-        (["--kind", "gp4", "--size", "6000"], "GP4", 4),
+        (["--kind", "split", "--clique", "2000", "--ind", "2"], "SPLIT", 128),
+        (["--kind", "gp4", "--size", "6000"], "GP4", 40),
         # the cap comes before the generator's own checks
-        (["--kind", "gp4", "--size", "6000", "--p", "2"], "GP4", 4),
+        (["--kind", "gp4", "--size", "6000", "--p", "2"], "GP4", 40),
+        # one vertex over the cap is refused the same way
+        (["--kind", "split", "--clique", "64", "--ind", "65"], "SPLIT", 128),
+        (["--kind", "apx", "--size", "41"], "APX", 40),
     ])
     def test_oversized_generated_source_exits_4_before_it_is_built(self, capsys,
                                                                   monkeypatch, argv,
@@ -348,7 +351,7 @@ class TestInProcess:
 
     @pytest.mark.parametrize("text, code, error", [
         # the cap comes before the edge lines, of which the one here is malformed
-        ("5 1\n0 x\n", 4, "source too large for GP4 check (cap n<=4)"),
+        ("41 1\n0 x\n", 4, "source too large for GP4 check (cap n<=40)"),
         # and after the header's own checks, as parse_edgelist makes them
         ("5\n0 x\n", 1, "expected header 'n m', got '5'"),
         ("2000000 0\n", 1, "edge list declares 2000000 vertices, more than the "

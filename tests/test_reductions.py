@@ -1,12 +1,14 @@
+import itertools
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semidom.domination import DominationKind, exact_min, verify
 from semidom.errors import InfeasibleError, SizeCapError
 from semidom.generators import (SplitMix64, gen_connected_graph, gen_named,
                                 gen_split_graph)
-from semidom.graph import Graph, SplitPartition
+from semidom.graph import Graph, SplitPartition, is_connected
 from semidom.reductions import (GadgetKind, build_gadget, check_reduction,
                                 extend_solution, extract_solution,
                                 min_vertex_cover)
@@ -38,6 +40,26 @@ def two_colorable(g):
                 elif color[x] == color[w]:
                     return False
     return True
+
+
+def degree3_source(n, rng):
+    """A connected source with maximum degree 3: a path through the
+    vertices in a random order, plus random chords between vertices of
+    degree below 3."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        order[i], order[j] = order[j], order[i]
+    edges = {tuple(sorted(e)) for e in zip(order, order[1:])}
+    degree = [2] * n
+    degree[order[0]] = degree[order[-1]] = 1
+    for _ in range(n):
+        a, b = sorted((rng.randrange(n), rng.randrange(n)))
+        if a != b and degree[a] < 3 and degree[b] < 3 and (a, b) not in edges:
+            edges.add((a, b))
+            degree[a] += 1
+            degree[b] += 1
+    return Graph(n, edges)
 
 
 class TestBuildGadget:
@@ -262,7 +284,7 @@ class TestExtractSolution:
         dh = exact_min(go.h, SEMI)
         assert len(dh) == 2 * 3 + 1
         vc = extract_solution(go, dh)
-        assert oracles.brute_min_vertex_cover_size(3, P3.sorted_edges()) == len(vc) == 1
+        assert oracles.brute_min_vertex_cover(3, P3.sorted_edges()) == vc == (1,)
 
     def test_split_extend_extract_round_trip(self):
         rng = SplitMix64(77)
@@ -459,14 +481,14 @@ class TestCheckReduction:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            check_reduction(gen_named("path", 9), GadgetKind.BIPARTITE)
+            check_reduction(gen_named("path", 65), GadgetKind.BIPARTITE)
 
     @pytest.mark.parametrize("kind, cap, source", [
-        (GadgetKind.GP4, 4, (gen_named("path", 4), None)),
-        (GadgetKind.BIPARTITE, 4, (gen_named("path", 4), None)),
-        (GadgetKind.SPLIT, 6, gen_split_graph(3, 3, 0.5, 0)),
-        (GadgetKind.LN, 6, (gen_named("path", 6), None)),
-        (GadgetKind.APX, 3, (gen_named("cycle", 3), None)),  # the triangle: m = 3
+        (GadgetKind.GP4, 40, (gen_named("path", 40), None)),
+        (GadgetKind.BIPARTITE, 64, (gen_named("path", 64), None)),
+        (GadgetKind.SPLIT, 128, gen_split_graph(64, 64, 0.5, 0)),
+        (GadgetKind.LN, 64, (gen_named("path", 64), None)),
+        (GadgetKind.APX, 40, (gen_named("path", 40), None)),
     ])
     def test_size_cap_per_kind(self, kind, cap, source):
         g, part = source
@@ -484,13 +506,51 @@ class TestCheckReduction:
 
     def test_l_reduction_alpha7_on_checkable_sources(self):
         # degree <= 3 sources with at least one edge: optimum transfer per
-        # the alpha=7 bound
-        seen = 0
-        for g in (K2, P3, gen_named("cycle", 3), Graph(3, [(0, 1), (0, 2)])):
-            if g.max_degree() > 3 or g.m == 0:
-                continue
+        # the alpha=7 bound. semitotal_h = tau + 2n, so the bound needs
+        # n <= 3 tau; a source with a cycle has n <= m <= 3 tau, and so does a
+        # path. (The tree K_{1,3} has n = 4 > 3 tau = 3.)
+        sources = [K2, P3, gen_named("cycle", 3), Graph(3, [(0, 1), (0, 2)])]
+        rng = SplitMix64(707)
+        for n in range(4, 25):
+            sources.append(degree3_source(n, rng))
+        for g in sources:
+            assert 0 < g.m and g.max_degree() <= 3, g.sorted_edges()
             tau = len(min_vertex_cover(g))
             h = build_gadget(g, GadgetKind.APX).h
-            assert len(exact_min(h, SEMI)) <= 7 * tau
-            seen += 1
-        assert seen >= 3
+            assert len(exact_min(h, SEMI)) == tau + 2 * g.n <= 7 * tau, g.sorted_edges()
+
+
+def assert_cover_is_the_brute_force_one(g):
+    assert min_vertex_cover(g) == oracles.brute_min_vertex_cover(g.n, g.sorted_edges()), \
+        (g.n, g.sorted_edges())
+
+
+class TestMinVertexCover:
+    """min_vertex_cover against the exhaustive reference, tuple for tuple, so
+    the tie-break is checked too."""
+
+    def test_degenerate_and_disconnected_graphs(self):
+        for g in (Graph(0), Graph(1), Graph(5), Graph(4, [(2, 3)]),
+                  Graph(6, [(0, 5), (1, 4)]), Graph(7, [(1, 2), (2, 3), (5, 6)])):
+            assert_cover_is_the_brute_force_one(g)
+
+    def test_seeded_graphs(self):
+        rng = SplitMix64(2026)
+        isolated = disconnected = 0
+        for n in range(11):
+            for p in (0.15, 0.3, 0.5, 0.8):
+                for _ in range(6):
+                    g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < p])
+                    assert_cover_is_the_brute_force_one(g)
+                    isolated += any(not g.neighbors(v) for v in range(n))
+                    disconnected += n > 0 and not is_connected(g)
+        assert isolated > 50 and disconnected > 50
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_graphs(self, data):
+        n = data.draw(st.integers(0, 10))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        assert_cover_is_the_brute_force_one(Graph(n, [e for e, k in zip(pairs, keep) if k]))
