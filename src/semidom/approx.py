@@ -32,22 +32,36 @@ def _greedy_cover(uncovered: int, family) -> list[int]:
 
     Uncovered bits only go away, so an owner whose mask misses them all can
     never gain again: each scan keeps only the owners that still gain, in
-    the same ascending order, and the next pick scans those alone."""
+    the same ascending order, and the next pick scans those alone.
+
+    For the same reason every gain only falls, so no owner can gain more
+    than the last pick did: that gain caps every later one (the cap starts
+    at the universe size). A scan stops at the first owner whose gain
+    equals the cap; every owner before it gained less, so it is the
+    smallest owner with the largest gain, the one a full scan would pick.
+    The owners after it, not yet scanned, are kept as they are. A scan in
+    which no owner reaches the cap is a full pass, and the cap falls to the
+    best gain it found."""
     chosen: list[int] = []
+    cap = uncovered.bit_count()
     while uncovered:
         best, best_gain = None, 0
         live = []
-        for pair in family:
+        rest = iter(family)
+        for pair in rest:
             gain = (pair[1] & uncovered).bit_count()
             if gain:
                 live.append(pair)
                 if gain > best_gain:
                     best, best_gain = pair, gain
+                    if gain == cap:
+                        live.extend(rest)
+                        break
         if not best_gain:
             raise ValueError("family does not cover the universe")
         chosen.append(best[0])
         uncovered ^= uncovered & best[1]
-        family = live
+        family, cap = live, best_gain
     return chosen
 
 

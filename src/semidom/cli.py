@@ -39,7 +39,10 @@ NAMED_FAMILIES = ("path", "cycle", "star", "complete", "gp4")
 # `--kind` values of reduce and check-reduction: reductions.GadgetKind, lower case
 GADGET_KINDS = ("gp4", "bipartite", "split", "ln", "apx")
 
-# `solve --algo exact` node budget when --max-nodes is not given
+# `solve --algo exact` node budget when --max-nodes is not given, and the
+# budget of each exact search `check-reduction` runs: the largest search in
+# the tests' check-reduction gates visits 15,052 nodes, and the slowest
+# source measured at the caps (beside reductions._LAYOUT) 188,046
 DEFAULT_MAX_NODES = 250_000
 
 # most edges `solve --algo exact|approx` builds from an interval model;
@@ -190,7 +193,7 @@ def _cmd_check_reduction(args) -> tuple[dict, int]:
             raise ValueError("check needs --input or --size")
         _check_source_size(kind, args.size)
         g, partition = gen_connected_graph(args.size, args.p, args.seed), None
-    report = check_reduction(g, kind, partition)
+    report = check_reduction(g, kind, partition, DEFAULT_MAX_NODES)
     doc = {
         "algorithm": "check-reduction",
         "kind": args.kind,

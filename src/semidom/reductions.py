@@ -74,10 +74,10 @@ class _Source(Record):
             return all(a in members or b in members for a, b in g.sorted_edges())
         return verify(g, members, self.measure).valid
 
-    def optimum(self, g: Graph) -> int:
+    def optimum(self, g: Graph, max_nodes: int | None) -> int:
         if self.measure is None:
-            return len(min_vertex_cover(g))
-        return len(exact_min(g, self.measure))
+            return len(min_vertex_cover(g, max_nodes))
+        return len(exact_min(g, self.measure, max_nodes))
 
 
 _TOTAL = _Source("total_g", "a total dominating set", DominationKind.TOTAL)
@@ -249,7 +249,7 @@ def extract_solution(go: GadgetOutput, d_h) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def min_vertex_cover(g: Graph) -> tuple[int, ...]:
+def min_vertex_cover(g: Graph, max_nodes: int | None = None) -> tuple[int, ...]:
     """Minimum vertex cover of g, lexicographically smallest among optima.
 
     Solved as domination: H keeps g's non-isolated vertices, relabelled in
@@ -261,7 +261,8 @@ def min_vertex_cover(g: Graph) -> tuple[int, ...]:
     lexicographically smallest minimum dominating set of H holds no edge
     vertex, and it is the lexicographically smallest minimum cover.
     Raises SizeCapError where exact_min does, so a component whose cover
-    needs more than 500 members is refused.
+    needs more than 500 members, or a search past max_nodes nodes, is
+    refused.
     """
     edges = g.sorted_edges()
     if not edges:
@@ -270,7 +271,7 @@ def min_vertex_cover(g: Graph) -> tuple[int, ...]:
     pos = {v: i for i, v in enumerate(ends)}
     h = Graph(len(ends) + len(edges), [(pos[a], pos[b]) for a, b in edges]
               + [(pos[v], len(ends) + j) for j, e in enumerate(edges) for v in e])
-    return tuple(ends[i] for i in exact_min(h, DominationKind.DOMINATING))
+    return tuple(ends[i] for i in exact_min(h, DominationKind.DOMINATING, max_nodes))
 
 
 def _check_source_size(kind: GadgetKind, n: int) -> None:
@@ -282,14 +283,18 @@ def _check_source_size(kind: GadgetKind, n: int) -> None:
 
 
 def check_reduction(g: Graph, kind: GadgetKind,
-                    partition: SplitPartition | None = None) -> ReductionReport:
+                    partition: SplitPartition | None = None,
+                    max_nodes: int | None = None) -> ReductionReport:
     """Compare both sides of a gadget identity with the exact oracle.
 
     The exact searches grow exponentially, so a size cap per kind, set from
     the times measured beside _LAYOUT, keeps a check to a few seconds; a
-    larger source raises SizeCapError before anything is built. A SPLIT
-    partition with an empty independent part raises ValueError: the
-    identity semitotal_h = gamma_g + 2 does not hold there.
+    larger source raises SizeCapError before anything is built. Each exact
+    search gets max_nodes as its node budget (default: unbounded), so a
+    source under the cap that is slower than the measured ones raises
+    SizeCapError too. A SPLIT partition with an empty independent part
+    raises ValueError: the identity semitotal_h = gamma_g + 2 does not hold
+    there.
     """
     _check_source_size(kind, g.n)
     go = build_gadget(g, kind, partition)
@@ -297,12 +302,12 @@ def check_reduction(g: Graph, kind: GadgetKind,
         raise ValueError("split check needs a nonempty independent part: "
                          "semitotal_h = gamma_g + 2 assumes one")
     layout = _LAYOUT[kind]
-    opt_h = exact_min(go.h, DominationKind.SEMITOTAL)
+    opt_h = exact_min(go.h, DominationKind.SEMITOTAL, max_nodes)
     details: dict[str, int] = {"n": g.n, "m": g.m, "h_n": go.h.n, "h_m": go.h.m,
                                "semitotal_h": len(opt_h)}
     if kind is GadgetKind.GP4:
-        details["total_h"] = len(exact_min(go.h, DominationKind.TOTAL))
-    source = layout.source.optimum(g)
+        details["total_h"] = len(exact_min(go.h, DominationKind.TOTAL, max_nodes))
+    source = layout.source.optimum(g, max_nodes)
     details[layout.source.key] = source
     offset = sum(len(go.vertices_with_tag(tag)) for tag in layout.lift)
     if kind is GadgetKind.GP4:  # H's total number carries the offset; its semitotal one is 2n

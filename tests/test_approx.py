@@ -134,7 +134,7 @@ class TestApproxSemitotal:
             approx_semitotal(Graph(0))
 
     def test_isolated_vertices_rejected_before_the_greedy(self):
-        # the greedy alone spends more than a minute on 20,000 vertices
+        # the greedy alone spends over a second on 20,000 vertices
         g = Graph(20_000, [(0, 1)])
         t0 = time.perf_counter()
         with pytest.raises(InfeasibleError, match="^isolated vertex 2$"):
@@ -324,3 +324,80 @@ class TestAgainstReferenceAtBenchScale:
         assert _greedy_cover(0b011, family) == [0]
         with pytest.raises(ValueError, match="^family does not cover the universe$"):
             _greedy_cover(0b111, family)
+
+
+def test_path_20000_within_budget():
+    # scanning every live owner on every pick takes about 100 s on this path
+    g = gen_named("path", 20000)
+    t0 = time.perf_counter()
+    s = approx_semitotal(g)
+    elapsed = time.perf_counter() - t0
+    assert len(s) == 10000
+    assert verify(g, s, SEMI).valid
+    assert elapsed < 5.0, elapsed
+
+
+class _Probe(int):
+    """A mask that logs its owner each time a scan reads its gain."""
+
+    def __new__(cls, mask, owner, log):
+        probe = super().__new__(cls, mask)
+        probe.owner, probe.log = owner, log
+        return probe
+
+    def __and__(self, other):
+        self.log.append(self.owner)
+        return int(self) & other
+
+
+def probed(masks):
+    """The family (owner, _Probe) of `masks` with owners 0, 1, ..., and the
+    log of the owners each scan reads, in order."""
+    log: list[int] = []
+    return [(o, _Probe(m, o, log)) for o, m in enumerate(masks)], log
+
+
+class TestGainCap:
+    """A scan stops at the first owner whose gain equals the last pick's;
+    the picks stay those of the full-scan reference."""
+
+    def test_stop_keeps_the_tail_and_a_pick_below_the_cap_rescans_it(self):
+        family, log = probed([0b0000111, 0b0111000, 0b1100000, 0b1000000])
+        assert _greedy_cover(0b1111111, family) == [0, 1, 2]
+        assert log == [0, 1, 2, 3,  # cap 7: full pass, owner 0 gains 3
+                       0, 1,        # owner 1 gains 3 = cap: 2 and 3 kept unscanned
+                       1, 2, 3]     # bit 6 is left, no gain reaches 3: a full pass
+
+    def test_ties_on_both_sides_of_a_stop_pick_the_smallest(self):
+        masks = [0b111, 0b11 << 3, 0b111 << 5, 0b11 << 8, 0b11 << 10]
+        family, log = probed(masks)
+        assert _greedy_cover((1 << 12) - 1, family) == [0, 2, 1, 3, 4]
+        assert log == [0, 1, 2, 3, 4,  # owners 0 and 2 tie at 3: 0 first
+                       0, 1, 2,        # owner 2 reaches the cap 3: stop
+                       1, 2, 3, 4,     # 1, 3 and 4 tie at 2 < 3: full pass, 1 first
+                       1, 3,           # cap 2: stop at 3, 4 kept unscanned
+                       3, 4]
+        assert oracles.ref_greedy_set_cover(
+            range(12), [(o, [b for b in range(12) if m >> b & 1])
+                        for o, m in enumerate(masks)]) == [0, 2, 1, 3, 4]
+
+    def test_uncoverable_after_a_stop_kept_spent_owners(self):
+        # bit 4 is in no mask; owners 2 and 3 are spent but kept unscanned
+        family, log = probed([0b0011, 0b1100, 0b0010, 0b0001])
+        with pytest.raises(ValueError, match="^family does not cover the universe$"):
+            _greedy_cover(0b11111, family)
+        assert log == [0, 1, 2, 3, 0, 1, 1, 2, 3]
+
+    @given(st.integers(0, 6).flatmap(lambda bits: st.tuples(
+        st.just(bits),
+        st.lists(st.integers(0, 40), unique=True, max_size=12).map(sorted),
+        st.lists(st.integers(0, (1 << bits) - 1), min_size=12, max_size=12))),
+        st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_hypothesis_equal_gains_against_reference(self, drawn, extra_bit):
+        bits, owners, masks = drawn
+        family = list(zip(owners, masks))
+        universe = range(bits + extra_bit)  # the extra bit is in no mask
+        want = outcome(oracles.ref_greedy_set_cover, universe,
+                       [(o, [b for b in range(bits) if m >> b & 1]) for o, m in family])
+        assert outcome(_greedy_cover, (1 << len(universe)) - 1, family) == want

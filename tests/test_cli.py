@@ -500,6 +500,17 @@ class TestInProcess:
         assert cli.main(solve + ["--max-nodes", "101"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_check_reduction_node_budget_exits_4(self, capsys, monkeypatch):
+        # a source under the cap that is slower than the measured ones stops
+        # at the budget, lowered here so that a small source reaches it
+        check = ["check-reduction", "--kind", "apx", "--size", "20", "--p", "0.2"]
+        assert cli.main(check) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+        monkeypatch.setattr(cli, "DEFAULT_MAX_NODES", 10)
+        assert cli.main(check) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "exact search exceeded its budget of 10 nodes", "kind": "size-cap"}
+
     @pytest.mark.parametrize("algo, fmt, budget, error", [
         ("approx", "edgelist", "5", "--max-nodes requires --algo exact"),
         ("interval", "intervals", "5", "--max-nodes requires --algo exact"),

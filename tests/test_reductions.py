@@ -554,3 +554,22 @@ class TestMinVertexCover:
         pairs = list(itertools.combinations(range(n), 2))
         keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         assert_cover_is_the_brute_force_one(Graph(n, [e for e, k in zip(pairs, keep) if k]))
+
+    def test_node_budget_reaches_the_cover_search(self):
+        with pytest.raises(SizeCapError, match="^exact search exceeded its budget of 3 nodes$"):
+            min_vertex_cover(gen_named("cycle", 9), max_nodes=3)
+        assert len(min_vertex_cover(gen_named("cycle", 9), max_nodes=10_000)) == 5
+
+
+@pytest.mark.parametrize("kind", list(GadgetKind))
+def test_check_reduction_passes_its_budget_to_every_search(monkeypatch, kind):
+    budgets = []
+
+    def exact(g, measure, max_nodes=None):
+        budgets.append(max_nodes)
+        return exact_min(g, measure, max_nodes)
+    monkeypatch.setattr("semidom.reductions.exact_min", exact)
+    g, part = (gen_split_graph(4, 4, 0.5, 0) if kind is GadgetKind.SPLIT
+               else (gen_connected_graph(8, 0.4, 0), None))
+    assert check_reduction(g, kind, part, max_nodes=12_345).holds
+    assert budgets == [12_345] * (3 if kind is GadgetKind.GP4 else 2)
