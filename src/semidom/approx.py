@@ -10,8 +10,8 @@ a 2 + 3 ln(Δ+1) guarantee.
 
 from __future__ import annotations
 
-import itertools
-from .domination import DominationKind, ViolationReason, check_no_isolated, verify
+from .domination import (DominationKind, ViolationReason, _search, check_no_isolated,
+                         verify)
 from ._record import Record
 from .graph import Graph, check_vertex_set, closed_masks, is_connected
 
@@ -132,14 +132,18 @@ def approx_semitotal(g: Graph) -> tuple[int, ...]:
 
 
 def algo_dom_set(g: Graph, k: int = 2) -> tuple[int, ...]:
-    """Dominating set via bounded exhaustion, else the pendant-star gadget route.
+    """Dominating set of at most k members if one exists, else the
+    pendant-star gadget route.
 
-    Subsets of size up to k (clamped to 4; the exhaustive step is exponential
-    in k) are tried in cardinality-then-lexicographic order. If none
-    dominates, the graph is extended with a pendant star (one leaf per
-    vertex, hub y, pendant z), the semitotal approximation runs there, and
-    its output is projected back: keep original vertices, map each chosen
-    leaf to its attachment vertex.
+    The exact step is the oracle's search (`exact_min`'s), limited to sets
+    of at most k members: it returns the lexicographically smallest
+    minimum dominating set, which is the first dominating set in
+    cardinality-then-lexicographic order. k is clamped to 4, which bounds
+    that search's depth. If no set that small dominates, the graph is
+    extended with a pendant star (one leaf per vertex, hub y, pendant z),
+    the semitotal approximation runs there, and its output is projected
+    back: keep original vertices, map each chosen leaf to its attachment
+    vertex.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
@@ -147,16 +151,9 @@ def algo_dom_set(g: Graph, k: int = 2) -> tuple[int, ...]:
         raise ValueError("graph must be connected")
     if k < 1:
         raise ValueError("k must be at least 1")
-    k = min(k, 4)
-    closed = closed_masks(g)
-    full = (1 << g.n) - 1
-    for size in range(1, min(k, g.n) + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            m = 0
-            for v in subset:
-                m |= closed[v]
-            if m == full:
-                return subset
+    found, _ = _search(g, DominationKind.DOMINATING, None, 0, min(k, 4))
+    if found is not None:
+        return found
     from .reductions import GadgetKind, build_gadget, extract_solution
     go = build_gadget(g, GadgetKind.LN)
     return extract_solution(go, approx_semitotal(go.h))

@@ -45,9 +45,14 @@ GADGET_KINDS = ("gp4", "bipartite", "split", "ln", "apx")
 # source measured at the caps (beside reductions._LAYOUT) 188,046
 DEFAULT_MAX_NODES = 250_000
 
-# most edges `solve --algo exact|approx` builds from an interval model;
-# 4472 identical intervals, just under it, take 3.4-5.0 s and 486 MB
-MAX_INTERVAL_EDGES = 10_000_000
+# most edges of a graph the CLI builds rather than reads, each refused
+# before it is built. Just under it (one run each, CPython 3.11.7, shared
+# 2-core Xeon): `solve --algo exact|approx` on 4472 identical intervals
+# takes 3.4-5.0 s and 486 MB; `reduce --kind split`, whose clique on the
+# source's n vertices plus two has C(n + 2, 2) edges, takes 19.2 s and
+# 1,616 MB on a 4470-vertex star; `gen --family complete --size 4472`
+# takes 11.1 s and 1,968 MB (`gen --family split` caps its clique alike)
+MAX_BUILT_EDGES = 10_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,9 +105,9 @@ def _cmd_solve(args) -> tuple[dict, int]:
         raise ValueError("graph is empty")
     if args.algo != "interval" and isinstance(inst, IntervalModel):
         m = intersection_edge_count(inst)  # O(n log n), with no graph built
-        if m > MAX_INTERVAL_EDGES:
+        if m > MAX_BUILT_EDGES:
             raise SizeCapError(f"interval graph too large for --algo {args.algo}: "
-                               f"{m} edges (cap m<={MAX_INTERVAL_EDGES})")
+                               f"{m} edges (cap m<={MAX_BUILT_EDGES})")
     # the interval solver needs only the model, so an infeasible model exits
     # before its O(n^2) intersection graph is built for the check
     g = None if args.algo == "interval" else _graph_of(inst)
@@ -151,7 +156,15 @@ def _cmd_verify(args) -> tuple[dict, int]:
 def _cmd_reduce(args) -> tuple[dict, int]:
     from pathlib import Path
     from .reductions import GadgetKind, build_gadget
-    g, partition = _load_gadget_source(args, _read(args.input))
+    text = _read(args.input)
+    if args.kind == "split":
+        # the gadget joins the source's vertices (as themselves or their y
+        # copies), s and w in one clique; the other gadgets are linear in n + m
+        m = _clique_edges(edgelist_header(text)[0] + 2)
+        if m > MAX_BUILT_EDGES:
+            raise SizeCapError(f"split gadget too large: its clique has {m} edges "
+                               f"(cap m<={MAX_BUILT_EDGES})")
+    g, partition = _load_gadget_source(args, text)
     go = build_gadget(g, GadgetKind[args.kind.upper()], partition)
     out = Path(args.output)
     out.write_text(write_edgelist(go.h), encoding="utf-8")
@@ -203,12 +216,40 @@ def _cmd_check_reduction(args) -> tuple[dict, int]:
     return doc, EXIT_OK if report.holds else EXIT_VERIFICATION
 
 
+def _clique_edges(n: int) -> int:
+    return n * (n - 1) // 2 if n > 0 else 0
+
+
+def _check_gen_size(args) -> None:
+    """Raise SizeCapError, before anything is generated, for an edge list
+    that `solve` could not read (more vertices than the edge-list header
+    allows) or whose clique has more than MAX_BUILT_EDGES edges."""
+    from .formats import _MAX_VERTICES
+    if args.family == "intervals":  # not an edge list
+        return
+    if args.family == "split":
+        if args.clique is None or args.ind is None:
+            raise ValueError("--family split needs --clique and --ind")
+        n, clique = args.clique + args.ind, args.clique
+    else:
+        n = 5 * args.size if args.family == "gp4" else args.size
+        clique = n if args.family == "complete" else 0
+    if n > _MAX_VERTICES:
+        raise SizeCapError(f"--family {args.family} would write {n} vertices, more "
+                           f"than the edge-list limit of {_MAX_VERTICES}")
+    m = _clique_edges(clique)
+    if m > MAX_BUILT_EDGES:
+        raise SizeCapError(f"--family {args.family} would write a clique of {m} "
+                           f"edges (cap m<={MAX_BUILT_EDGES})")
+
+
 def _cmd_gen(args) -> tuple[dict, int]:
     from pathlib import Path
     from .generators import (gen_connected_graph, gen_interval_model, gen_named,
                              gen_split_graph)
     out = Path(args.output)
     extra: dict = {"output": str(out)}
+    _check_gen_size(args)
     if args.family == "intervals":
         model = gen_interval_model(args.size, args.seed)
         out.write_text(write_intervals(model), encoding="utf-8")
@@ -218,8 +259,6 @@ def _cmd_gen(args) -> tuple[dict, int]:
         out.write_text(write_edgelist(g), encoding="utf-8")
         doc_n, doc_m = g.n, g.m
     elif args.family == "split":
-        if args.clique is None or args.ind is None:
-            raise ValueError("--family split needs --clique and --ind")
         g, part = gen_split_graph(args.clique, args.ind, args.density, args.seed)
         out.write_text(write_edgelist(g), encoding="utf-8")
         part_path = Path(str(out) + ".partition")

@@ -167,27 +167,32 @@ def exact_min(g: Graph, kind: DominationKind,
     if kind is not DominationKind.DOMINATING:
         check_no_isolated(g)
     comps = connected_components(g)
-    if len(comps) == 1:
-        return _search(g, kind, max_nodes, 0)[0]
     members: list[int] = []
     nodes = 0
     pos = [0] * g.n
     adj = g._adj
     for comp in comps:
-        for i, v in enumerate(comp):
-            pos[v] = i
-        # comp is sorted, so the relabelling keeps every row sorted
-        sub = Graph(len(comp), _rows=[[pos[v] for v in adj[u]] for u in comp])
+        sub = g  # one component: comp is every id, in order
+        if len(comps) > 1:
+            for i, v in enumerate(comp):
+                pos[v] = i
+            # comp is sorted, so the relabelling keeps every row sorted
+            sub = Graph(len(comp), _rows=[[pos[v] for v in adj[u]] for u in comp])
         found, nodes = _search(sub, kind, max_nodes, nodes)
+        if found is None:
+            raise SizeCapError(f"exact search needs more than {_MAX_MEMBERS} "
+                               "members in one component")
         members += [comp[i] for i in found]
     return tuple(sorted(members))
 
 
-def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
-            nodes: int) -> tuple[tuple[int, ...], int]:
+def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
+            max_size: int = _MAX_MEMBERS) -> tuple[tuple[int, ...] | None, int]:
     """exact_min on a graph with no isolated vertex unless kind is
     DOMINATING, counting on from `nodes` spent nodes; returns the answer and
-    the nodes spent so far."""
+    the nodes spent so far. The answer is None when the optimum has more
+    than max_size members: the size phase stops once no set of at most
+    max_size members is left to try, so max_size also bounds its depth."""
     n = g.n
     cover = open_masks(g) if kind is DominationKind.TOTAL else closed_masks(g)
     semitotal = kind is DominationKind.SEMITOTAL
@@ -336,9 +341,8 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None,
     k = 2 if semitotal else 1
     while not (best := feasible(k, 0, 0, 0, full)):
         k = max(k + 1, need)
-        if k > _MAX_MEMBERS:
-            raise SizeCapError(f"exact search needs more than {_MAX_MEMBERS} "
-                               "members in one component")
+        if k > max_size:
+            return None, nodes
 
     # `best` is an optimum whose i smallest members are `chosen`; position
     # i takes its next member unless a smaller u also completes to size k

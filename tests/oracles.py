@@ -98,6 +98,23 @@ def brute_min(n, edges, kind):
     return None
 
 
+def brute_first_dominating_set(n, edges, k):
+    """The first dominating set of at most k vertices in cardinality-then-
+    lexicographic order, or None when no set that small dominates: the
+    reference for the exact step of `algo_dom_set`."""
+    adj = adjacency(n, edges)
+    closed = [sum(1 << u for u in adj[v]) | 1 << v for v in range(n)]
+    full = (1 << n) - 1
+    for size in range(1, min(k, n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            m = 0
+            for v in subset:
+                m |= closed[v]
+            if m == full:
+                return subset
+    return None
+
+
 def lex_exact_min(n, edges, kind):
     """Lexicographically smallest minimum set by iterative deepening.
 

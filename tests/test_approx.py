@@ -13,6 +13,7 @@ from semidom.domination import DominationKind, exact_min, verify
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_connected_graph, gen_named
 from semidom.graph import Graph
+from semidom.reductions import GadgetKind, build_gadget, extract_solution
 
 import oracles
 
@@ -186,6 +187,61 @@ class TestAlgoDomSet:
             g = gen_connected_graph(n, 0.3, rng.next_u64())
             for k in (1, 2):
                 assert verify(g, algo_dom_set(g, k), DOM).valid
+
+
+def gadget_route(g):
+    """What algo_dom_set returns when no set of at most k vertices dominates
+    g: the semitotal approximation on the LN gadget, projected back."""
+    go = build_gadget(g, GadgetKind.LN)
+    return extract_solution(go, approx_semitotal(go.h))
+
+
+def assert_matches_enumerator(g, k):
+    """algo_dom_set(g, k) is the first dominating set of at most min(k, 4)
+    vertices, or the gadget route when there is none; returns whether
+    there was one."""
+    want = oracles.brute_first_dominating_set(g.n, g.sorted_edges(), min(k, 4))
+    assert algo_dom_set(g, k) == (gadget_route(g) if want is None else want), k
+    return want is not None
+
+
+class TestAlgoDomSetAgainstEnumerator:
+    def test_seeded_graphs(self):
+        rng = SplitMix64(28)
+        found = 0
+        for _ in range(60):
+            n = 1 + rng.randrange(12)
+            for p in (0.1, 0.3, 0.5, 0.8):
+                g = gen_connected_graph(n, p, rng.next_u64())
+                for k in (1, 2, 3, 4, 7):  # 7 is clamped to 4
+                    found += assert_matches_enumerator(g, k)
+        assert 0 < found < 60 * 4 * 5  # both routes are taken
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_graphs(self, data):
+        n = data.draw(st.integers(1, 12))
+        # a random tree keeps the graph connected; extra edges on top
+        edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        if n > 1:
+            pairs = st.sampled_from(list(itertools.combinations(range(n), 2)))
+            edges.update(data.draw(st.lists(pairs, max_size=2 * n)))
+        assert_matches_enumerator(Graph(n, sorted(edges)), data.draw(st.integers(1, 6)))
+
+    def test_fewer_vertices_than_k(self):
+        for g in (Graph(1), Graph(2, [(0, 1)]), P4, gen_named("complete", 3)):
+            for k in range(g.n, 6):
+                assert assert_matches_enumerator(g, k)
+
+    def test_budget_at_n160(self):
+        # no set of 4 or fewer vertices dominates this graph, so the search
+        # rules them all out before the gadget route runs; enumerating those
+        # 27 million subsets one by one takes seconds
+        g = gen_connected_graph(160, 0.03, 0)
+        t0 = time.perf_counter()
+        d = algo_dom_set(g, 4)
+        assert time.perf_counter() - t0 < 1.0
+        assert verify(g, d, DOM).valid
 
 
 def outcome(fn, *args):

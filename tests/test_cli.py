@@ -461,7 +461,7 @@ class TestInProcess:
 
     @pytest.mark.parametrize("algo", ["exact", "approx"])
     def test_interval_edge_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch, algo):
-        monkeypatch.setattr(cli, "MAX_INTERVAL_EDGES", 3)
+        monkeypatch.setattr(cli, "MAX_BUILT_EDGES", 3)
         f = tmp_path / "m.txt"
         f.write_text("3\n0 1\n0 1\n0 1\n")  # 3 edges
         assert cli.main(["solve", "--algo", algo, "--format", "intervals",
@@ -559,6 +559,80 @@ class TestInProcess:
                          "--output", str(tmp_path / "m.txt")])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and (doc["n"], doc["m"]) == (300, expected)
+
+    def test_reduce_split_refuses_a_clique_over_the_edge_cap(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a 4471-vertex star: the gadget's clique on its vertices, s and w
+        # would have C(4473, 2) edges, one size over the cap
+        def build(*args):
+            raise AssertionError("the gadget was built")
+        monkeypatch.setattr("semidom.reductions.build_gadget", build)
+        g, p, h = tmp_path / "star.txt", tmp_path / "star.partition", tmp_path / "h.txt"
+        g.write_text(write_edgelist(gen_named("star", 4471)))
+        p.write_text("clique 0\nindependent " + " ".join(map(str, range(1, 4471))) + "\n")
+        assert cli.main(["reduce", "--kind", "split", "--input", str(g),
+                         "--partition", str(p), "--output", str(h)]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "split gadget too large: its clique has 10001628 edges "
+                     "(cap m<=10000000)",
+            "kind": "size-cap"}
+        assert not h.exists()
+
+    def test_reduce_split_edge_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BUILT_EDGES", 10)
+        g, p, h = tmp_path / "g.txt", tmp_path / "g.partition", tmp_path / "h.txt"
+        reduce = ["reduce", "--kind", "split", "--input", str(g), "--partition", str(p),
+                  "--output", str(h)]
+        g.write_text(write_edgelist(gen_named("path", 3)))  # clique of C(5, 2) = 10
+        p.write_text("clique 1\nindependent 0 2\n")
+        assert cli.main(reduce) == 0
+        assert json.loads(capsys.readouterr().out)["extra"]["h_n"] == 3 + 3 + 5
+        g.write_text(write_edgelist(gen_named("star", 4)))  # C(6, 2) = 15
+        p.write_text("clique 0\nindependent 1 2 3\n")
+        assert cli.main(reduce) == 4
+        assert "15 edges (cap m<=10)" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["path", "--size", "1000001"],
+         "--family path would write 1000001 vertices, more than the edge-list limit "
+         "of 1000000"),
+        (["random", "--size", "1000001"], "--family random would write 1000001 vertices"),
+        # gp4 hangs four vertices off each base vertex
+        (["gp4", "--size", "200001"], "--family gp4 would write 1000005 vertices"),
+        (["split", "--clique", "1", "--ind", "1000000"],
+         "--family split would write 1000001 vertices"),
+        (["complete", "--size", "4473"],
+         "--family complete would write a clique of 10001628 edges (cap m<=10000000)"),
+        (["split", "--clique", "4473", "--ind", "1"],
+         "--family split would write a clique of 10001628 edges"),
+    ])
+    def test_gen_refuses_an_oversized_edge_list_before_generating(self, tmp_path, capsys,
+                                                                  monkeypatch, argv, error):
+        def generate(*args):
+            raise AssertionError("the graph was generated")
+        for name in ("gen_named", "gen_connected_graph", "gen_split_graph"):
+            monkeypatch.setattr(f"semidom.generators.{name}", generate)
+        out = tmp_path / "g.txt"
+        assert cli.main(["gen", "--family", *argv, "--output", str(out)]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "size-cap" and doc["error"].startswith(error)
+        assert not out.exists()
+
+    def test_gen_caps_admit_what_solve_reads(self, tmp_path, capsys, monkeypatch):
+        from semidom import formats
+        monkeypatch.setattr(formats, "_MAX_VERTICES", 10)
+        monkeypatch.setattr(cli, "MAX_BUILT_EDGES", 10)
+        out = str(tmp_path / "g.txt")
+        for argv, code in ((["path", "--size", "10"], 0), (["path", "--size", "11"], 4),
+                           (["gp4", "--size", "2"], 0), (["gp4", "--size", "3"], 4),
+                           (["complete", "--size", "5"], 0), (["complete", "--size", "6"], 4),
+                           (["split", "--clique", "5", "--ind", "5"], 0),
+                           (["split", "--clique", "5", "--ind", "6"], 4)):
+            assert cli.main(["gen", "--family", *argv, "--output", out]) == code, argv
+            capsys.readouterr()
+            if code == 0:  # solve reads every file gen writes
+                assert cli.main(["solve", "--algo", "approx", "--input", out]) == 0, argv
+                assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_gen_random_at_the_approx_pool_size_is_pinned(self, tmp_path, capsys):
         # generation at the graph-approx pool's size, bit for bit: 1,249

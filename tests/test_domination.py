@@ -1,9 +1,12 @@
+import inspect
 import itertools
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semidom import domination
 from semidom.approx import approx_semitotal
 from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
                                 _search, exact_min, verify)
@@ -376,6 +379,38 @@ class TestExactSearch:
                  (6, 8), (7, 8)]
         assert exact_min(Graph(9, edges), SEMI) == (0, 1, 2, 7)
         assert_matches_lex_search(9, edges)
+
+    def test_a_forced_member_with_no_partner_left_fails_at_once(self):
+        # SEMITOTAL: the lexicographic phase tries 2 as the first member, so
+        # 0 and 1 are out of `allowed`; below it the branch on 5 fails, and
+        # in the branch on 3 vertex 1 has 11 as its only candidate left.
+        # 11 joins as a forced member, and 0, 1 and 5, all it has within
+        # distance 2, are out: the lonely 11 has no candidate, and that node
+        # fails in its item scan, the one exit no other test reaches
+        g = Graph(12, [(0, 3), (0, 5), (1, 5), (1, 11), (2, 3), (2, 4), (4, 7), (5, 11),
+                       (6, 8), (6, 9), (7, 8), (7, 9), (7, 10), (8, 10)])
+        src, _ = inspect.getsourcelines(domination)
+        exit_line = 1 + next(i for i, line in enumerate(src, 1)
+                             if line.strip() == "if not cands:")
+        assert src[exit_line - 1].strip() == "return 0"
+        run: set[int] = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != domination.__file__:
+                return None
+            if event == "line":
+                run.add(frame.f_lineno)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            found, spent = _search(g, SEMI, None, 0)
+        finally:
+            sys.settrace(previous)
+        assert exit_line in run
+        assert (found, spent) == ((3, 5, 6, 7), 39)
+        assert_matches_lex_search(g.n, g.sorted_edges())
 
     def test_nested_neighbourhoods_match_lex_search(self):
         # split graphs, GP4 gadgets and graphs with true twins nest many
