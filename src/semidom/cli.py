@@ -187,7 +187,6 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 
 def _cmd_check_reduction(args) -> tuple[dict, int]:
-    from .generators import gen_connected_graph, gen_split_graph
     from .reductions import GadgetKind, _check_source_size, check_reduction
     kind = GadgetKind[args.kind.upper()]
     # a source is refused before it is built, so an oversized request costs
@@ -196,16 +195,12 @@ def _cmd_check_reduction(args) -> tuple[dict, int]:
         text = _read(args.input)
         _check_source_size(kind, edgelist_header(text)[0])
         g, partition = _load_gadget_source(args, text)
-    elif kind is GadgetKind.SPLIT:
-        if args.clique is None or args.ind is None:
-            raise ValueError("split check needs --clique and --ind (or --input)")
-        _check_source_size(kind, args.clique + args.ind)
-        g, partition = gen_split_graph(args.clique, args.ind, args.density, args.seed)
     else:
-        if args.size is None:
-            raise ValueError("check needs --input or --size")
-        _check_source_size(kind, args.size)
-        g, partition = gen_connected_graph(args.size, args.p, args.seed), None
+        family, missing = (("split", "split check needs --clique and --ind (or --input)")
+                           if kind is GadgetKind.SPLIT else
+                           ("random", "check needs --input or --size"))
+        _check_source_size(kind, _edge_list_size(family, args, missing)[0])
+        g, partition = _generate(family, args)
     report = check_reduction(g, kind, partition, DEFAULT_MAX_NODES)
     doc = {
         "algorithm": "check-reduction",
@@ -220,6 +215,36 @@ def _clique_edges(n: int) -> int:
     return n * (n - 1) // 2 if n > 0 else 0
 
 
+def _edge_list_size(family: str, args, missing: str) -> tuple[int, int]:
+    """The vertex count and clique edge count of the edge list that `family`
+    (any `gen --family` but intervals) would make from the options in args,
+    found without making it; ValueError(missing) if an option it needs is
+    unset."""
+    if family == "split":
+        if args.clique is None or args.ind is None:
+            raise ValueError(missing)
+        return args.clique + args.ind, _clique_edges(args.clique)
+    if args.size is None:
+        raise ValueError(missing)
+    n = 5 * args.size if family == "gp4" else args.size  # gp4 hangs 4 off each vertex
+    return n, _clique_edges(n) if family == "complete" else 0
+
+
+def _generate(family: str, args):
+    """The source that `family` makes from the options in args: the interval
+    model for intervals, else the graph and its split partition (None
+    unless split). The generators load on first use."""
+    from . import generators
+    if family == "intervals":
+        return generators.gen_interval_model(args.size, args.seed)
+    if family == "split":
+        return generators.gen_split_graph(args.clique, args.ind, args.density, args.seed)
+    if family == "random":
+        return generators.gen_connected_graph(args.size, args.p, args.seed), None
+    # argparse's choices leave only NAMED_FAMILIES
+    return generators.gen_named(family, args.size, args.seed), None
+
+
 def _check_gen_size(args) -> None:
     """Raise SizeCapError, before anything is generated, for an edge list
     that `solve` could not read (more vertices than the edge-list header
@@ -227,17 +252,10 @@ def _check_gen_size(args) -> None:
     from .formats import _MAX_VERTICES
     if args.family == "intervals":  # not an edge list
         return
-    if args.family == "split":
-        if args.clique is None or args.ind is None:
-            raise ValueError("--family split needs --clique and --ind")
-        n, clique = args.clique + args.ind, args.clique
-    else:
-        n = 5 * args.size if args.family == "gp4" else args.size
-        clique = n if args.family == "complete" else 0
+    n, m = _edge_list_size(args.family, args, "--family split needs --clique and --ind")
     if n > _MAX_VERTICES:
         raise SizeCapError(f"--family {args.family} would write {n} vertices, more "
                            f"than the edge-list limit of {_MAX_VERTICES}")
-    m = _clique_edges(clique)
     if m > MAX_BUILT_EDGES:
         raise SizeCapError(f"--family {args.family} would write a clique of {m} "
                            f"edges (cap m<={MAX_BUILT_EDGES})")
@@ -245,30 +263,21 @@ def _check_gen_size(args) -> None:
 
 def _cmd_gen(args) -> tuple[dict, int]:
     from pathlib import Path
-    from .generators import (gen_connected_graph, gen_interval_model, gen_named,
-                             gen_split_graph)
     out = Path(args.output)
     extra: dict = {"output": str(out)}
     _check_gen_size(args)
+    source = _generate(args.family, args)
     if args.family == "intervals":
-        model = gen_interval_model(args.size, args.seed)
-        out.write_text(write_intervals(model), encoding="utf-8")
-        doc_n, doc_m = model.n, intersection_edge_count(model)
-    elif args.family == "random":
-        g = gen_connected_graph(args.size, args.p, args.seed)
+        out.write_text(write_intervals(source), encoding="utf-8")
+        doc_n, doc_m = source.n, intersection_edge_count(source)
+    else:
+        g, part = source
         out.write_text(write_edgelist(g), encoding="utf-8")
         doc_n, doc_m = g.n, g.m
-    elif args.family == "split":
-        g, part = gen_split_graph(args.clique, args.ind, args.density, args.seed)
-        out.write_text(write_edgelist(g), encoding="utf-8")
-        part_path = Path(str(out) + ".partition")
-        part_path.write_text(write_partition(part), encoding="utf-8")
-        extra["partition"] = str(part_path)
-        doc_n, doc_m = g.n, g.m
-    else:  # argparse's choices leave only NAMED_FAMILIES
-        g = gen_named(args.family, args.size, args.seed)
-        out.write_text(write_edgelist(g), encoding="utf-8")
-        doc_n, doc_m = g.n, g.m
+        if part is not None:
+            part_path = Path(str(out) + ".partition")
+            part_path.write_text(write_partition(part), encoding="utf-8")
+            extra["partition"] = str(part_path)
     doc = {
         "algorithm": "gen",
         "family": args.family,

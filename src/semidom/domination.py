@@ -8,8 +8,9 @@ another member within distance 2.
 The exact oracle searches each connected component on its own. It first
 finds the optimum size with a most-constrained branching search, then fixes
 the lexicographically smallest optimal set one member at a time with the
-same search (self-reduction), so it is fully deterministic. `tests/oracles.py` keeps a plain lexicographic search as the
-differential reference.
+same search (self-reduction), so it is fully deterministic.
+`tests/oracles.py` keeps a plain lexicographic search as the differential
+reference.
 """
 
 from __future__ import annotations

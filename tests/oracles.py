@@ -2,7 +2,8 @@
 
 Everything here is computed straight from the definitions with its own BFS
 and subset enumeration, deliberately not sharing code with the solvers under
-test.
+test. The one exception is `KNOWN_OPTIMA`, whose graphs come from the
+library's generator and gadget builder; its optima are closed forms.
 """
 
 import itertools
@@ -11,8 +12,9 @@ from collections import deque
 from fractions import Fraction
 
 from semidom.errors import InfeasibleError
-from semidom.generators import SplitMix64
+from semidom.generators import SplitMix64, gen_named
 from semidom.graph import Graph
+from semidom.reductions import GadgetKind, build_gadget
 
 INF = float("inf")
 
@@ -479,3 +481,21 @@ def ref_gen_split_graph(p_clique, q_ind, density, seed):
         if not any((u, w) in edges for u in range(p_clique)):
             edges.add((rng.randrange(p_clique), w))
     return sorted(edges)
+
+
+def _path_gadget(kind):
+    return lambda n: build_gadget(gen_named("path", n), kind).h
+
+
+# Families whose semitotal domination number has a closed form at every
+# size, each built from the path P_n: name -> (least n, graph(n), optimum(n)).
+# gamma_t2(P_n) = ceil(2n/5) for n >= 3 (P_2 needs 2). The gadget identities
+# that `check_reduction` asserts give the rest from the source path: GP4(G)
+# has 2n, BIPARTITE(G) gamma(G) + 2n with gamma(P_n) = ceil(n/3), and APX(G)
+# tau(G) + 2n with tau(P_n) = floor(n/2), the standard path values.
+KNOWN_OPTIMA = {
+    "path": (3, lambda n: gen_named("path", n), lambda n: -(-2 * n // 5)),
+    "gp4": (2, _path_gadget(GadgetKind.GP4), lambda n: 2 * n),
+    "bipartite": (2, _path_gadget(GadgetKind.BIPARTITE), lambda n: -(-n // 3) + 2 * n),
+    "apx": (2, _path_gadget(GadgetKind.APX), lambda n: n // 2 + 2 * n),
+}

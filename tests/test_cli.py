@@ -349,6 +349,27 @@ class TestInProcess:
             '  "kind": "size-cap"\n'
             "}\n")
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--kind", "split", "--clique", "3"],
+         "split check needs --clique and --ind (or --input)"),
+        (["--kind", "split", "--ind", "3"],
+         "split check needs --clique and --ind (or --input)"),
+        (["--kind", "gp4"], "check needs --input or --size"),
+        (["--kind", "apx", "--clique", "3", "--ind", "3"], "check needs --input or --size"),
+    ])
+    def test_generated_source_argument_error_exits_1_before_it_is_built(
+            self, capsys, monkeypatch, argv, error):
+        def generate(*args):
+            raise AssertionError("the source was generated")
+        monkeypatch.setattr("semidom.generators.gen_split_graph", generate)
+        monkeypatch.setattr("semidom.generators.gen_connected_graph", generate)
+        assert cli.main(["check-reduction", *argv]) == 1
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "error": "{error}",\n'
+            '  "kind": "invalid-input"\n'
+            "}\n")
+
     @pytest.mark.parametrize("text, code, error", [
         # the cap comes before the edge lines, of which the one here is malformed
         ("41 1\n0 x\n", 4, "source too large for GP4 check (cap n<=40)"),
