@@ -248,9 +248,14 @@ def _generate(family: str, args):
 def _check_gen_size(args) -> None:
     """Raise SizeCapError, before anything is generated, for an edge list
     that `solve` could not read (more vertices than the edge-list header
-    allows) or whose clique has more than MAX_BUILT_EDGES edges."""
+    allows) or whose clique has more than MAX_BUILT_EDGES edges, and for
+    more intervals than that vertex limit: the interval generator lists
+    all 4n candidate endpoints first, in time and memory linear in n."""
     from .formats import _MAX_VERTICES
-    if args.family == "intervals":  # not an edge list
+    if args.family == "intervals":
+        if args.size > _MAX_VERTICES:
+            raise SizeCapError(f"--family intervals would write {args.size} intervals, "
+                               f"more than the limit of {_MAX_VERTICES}")
         return
     n, m = _edge_list_size(args.family, args, "--family split needs --clique and --ind")
     if n > _MAX_VERTICES:

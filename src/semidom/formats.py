@@ -10,6 +10,7 @@ hold two labelled lines, `clique ...ids` and `independent ...ids`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -73,9 +74,14 @@ def parse_edgelist(text: str) -> Graph:
 
 
 def write_edgelist(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
+    """The header `n m`, then each edge as `u v`, u < v, in sorted order.
+    The text is joined from one string per adjacency row: a string or a
+    tuple per edge would take several times the size of the text on a
+    dense graph."""
+    rows = [f"{g.n} {g.m}\n"]
+    rows += ["".join([f"{u} {v}\n" for v in row[bisect_right(row, u):]])
+             for u, row in enumerate(g._adj)]
+    return "".join(rows)
 
 
 

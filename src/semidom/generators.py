@@ -33,6 +33,13 @@ _RAMP = (((_LANES << 128 * (_LANES + 1)) - ((_LANES + 1) << 128 * _LANES) + 1)
 # reaches bit 65, so the mask drops each carry before it meets the next lane
 _STEP = _ONES * (_LANES * _GAMMA & _MASK64)
 _CARRIES = _ONES << 64  # bit 64 of every lane
+# Draws whose blocks hold at most this many hits on average find them by bit
+# scan, under a microsecond per hit; denser draws read every lane's carry as
+# a byte, which costs about as much as 17 scans whatever the hits. The choice
+# is made once per call: counting one block's hits (int.bit_count) costs
+# 2-4 microseconds, more than the wrong choice costs a block near the
+# crossover (BENCH_gen.json, bit_scan).
+_SCAN_HITS = 16
 
 
 class SplitMix64:
@@ -87,12 +94,18 @@ class SplitMix64:
         no further: bits 97-127 never reach bit 64. Hence the carry bits of a
         block, compared once with _CARRIES, tell whether every lane missed,
         and such a block skips the per-lane extraction; at p = 3/800 that is
-        (1 - p)**_LANES, about 38% of the blocks.
+        (1 - p)**_LANES, about 38% of the blocks. A block that hits reads
+        its hits off the carries XOR _CARRIES, whose set bits are the bits
+        128i + 64 of the lanes i that hit: one bit_length() per hit when a
+        block expects at most _SCAN_HITS hits (_LANES * p of them; a block
+        that hits at p = 3/800 holds 1.6 on average), else one byte read of
+        all the lanes.
         """
         limit = math.ceil(Fraction(p) * (1 << 53)) << 11
         offset = _ONES * ((1 << 64) - limit)
         lanes = (_ONES * self._state + _RAMP) & _LANE_MASK
         hits: list[int] = []
+        scan = _LANES * limit <= _SCAN_HITS << 64  # hits a block expects, at most _SCAN_HITS
         for base in range(0, count, _LANES):
             z = ((lanes ^ (lanes >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
             z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
@@ -100,9 +113,21 @@ class SplitMix64:
             # lane, above the carry bit that is kept, so no mask is needed
             z = ((z ^ (z >> 31)) + offset) & _CARRIES
             if z != _CARRIES:
-                # byte 16i + 8 is lane i's bit 64 flipped: 1 when the draw hits
-                hit = (z ^ _CARRIES).to_bytes(16 * _LANES, "little")[8::16]
-                hits += compress(range(base, count), hit)
+                z ^= _CARRIES  # bit 128i + 64 is set when lane i hits
+                if scan:
+                    # top lane first; only the last block has lanes past count
+                    found = []
+                    while z:
+                        top = z.bit_length() - 1
+                        z ^= 1 << top
+                        k = base + (top >> 7)
+                        if k < count:
+                            found.append(k)
+                    hits += reversed(found)
+                else:
+                    # byte 16i + 8 holds lane i's bit 64
+                    hits += compress(range(base, count),
+                                     z.to_bytes(16 * _LANES, "little")[8::16])
             lanes = (lanes + _STEP) & _LANE_MASK
         self._state = (self._state + count * _GAMMA) & _MASK64
         return hits

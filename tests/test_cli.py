@@ -626,12 +626,17 @@ class TestInProcess:
          "--family complete would write a clique of 10001628 edges (cap m<=10000000)"),
         (["split", "--clique", "4473", "--ind", "1"],
          "--family split would write a clique of 10001628 edges"),
+        # not an edge list, but the generator's work grows with the size
+        (["intervals", "--size", "1000001"],
+         "--family intervals would write 1000001 intervals, more than the limit "
+         "of 1000000"),
     ])
     def test_gen_refuses_an_oversized_edge_list_before_generating(self, tmp_path, capsys,
                                                                   monkeypatch, argv, error):
         def generate(*args):
             raise AssertionError("the graph was generated")
-        for name in ("gen_named", "gen_connected_graph", "gen_split_graph"):
+        for name in ("gen_named", "gen_connected_graph", "gen_split_graph",
+                     "gen_interval_model"):
             monkeypatch.setattr(f"semidom.generators.{name}", generate)
         out = tmp_path / "g.txt"
         assert cli.main(["gen", "--family", *argv, "--output", str(out)]) == 4
@@ -648,11 +653,15 @@ class TestInProcess:
                            (["gp4", "--size", "2"], 0), (["gp4", "--size", "3"], 4),
                            (["complete", "--size", "5"], 0), (["complete", "--size", "6"], 4),
                            (["split", "--clique", "5", "--ind", "5"], 0),
-                           (["split", "--clique", "5", "--ind", "6"], 4)):
+                           (["split", "--clique", "5", "--ind", "6"], 4),
+                           (["intervals", "--size", "10"], 0),
+                           (["intervals", "--size", "11"], 4)):
             assert cli.main(["gen", "--family", *argv, "--output", out]) == code, argv
             capsys.readouterr()
             if code == 0:  # solve reads every file gen writes
-                assert cli.main(["solve", "--algo", "approx", "--input", out]) == 0, argv
+                algo = (["interval", "--format", "intervals"] if argv[0] == "intervals"
+                        else ["approx"])
+                assert cli.main(["solve", "--algo", *algo, "--input", out]) == 0, argv
                 assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_gen_random_at_the_approx_pool_size_is_pinned(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from semidom import formats
 from semidom.formats import (edgelist_header, parse_edgelist, parse_intervals,
                              parse_partition, parse_vertex_set, write_edgelist,
                              write_intervals, write_partition)
+from semidom.generators import gen_connected_graph, gen_named
 from semidom.graph import Graph, SplitPartition
 from semidom.intervals import IntervalModel, intersection_graph
 
@@ -16,6 +17,20 @@ class TestEdgelist:
     def test_round_trip(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert parse_edgelist(write_edgelist(g)) == g
+
+    def test_writer_matches_the_edge_tuple_form(self):
+        # the writer built from the rows gives the text of the edge tuples
+        def tuple_form(g):
+            lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.sorted_edges()]
+            return "\n".join(lines) + "\n"
+        graphs = [Graph(0), Graph(1), Graph(5, [(1, 3)]), Graph(4, [(2, 3), (0, 3)]),
+                  gen_named("complete", 9), gen_named("star", 7)]
+        graphs += [gen_connected_graph(n, p, s) for n in (2, 17, 60)
+                   for p in (0.05, 0.3) for s in range(3)]
+        for g in graphs:
+            assert write_edgelist(g) == tuple_form(g), g
+        assert write_edgelist(Graph(0)) == "0 0\n"
+        assert write_edgelist(Graph(3, [(0, 2)])) == "3 1\n0 2\n"
 
     def test_comments_and_blank_lines(self):
         g = parse_edgelist("# a comment\n\n3 2\n0 1\n# inline\n1 2\n")

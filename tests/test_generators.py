@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -66,6 +67,42 @@ class TestBulkDraws:
                     assert got == [k for k in range(count) if scalar.random() < p], \
                         (seed, count, p)
                     assert bulk.next_u64() == scalar.next_u64(), (seed, count, p)
+
+    def test_blocks_on_both_sides_of_the_scan_threshold(self, monkeypatch):
+        # draws that expect at most _SCAN_HITS hits a block (p <= t / L) are
+        # read by bit scan, denser ones by bytes; near t hits a block, each
+        # read meets blocks with at most t hits and blocks with more
+        t = generators._SCAN_HITS
+        count = 40 * self.L + 3
+        byte_reads = []
+        monkeypatch.setattr(generators, "compress",
+                            lambda *args: byte_reads.append(1) or compress(*args))
+        for seed in range(4):
+            for p, bytes_read in ((Fraction(t - 1, self.L), False),
+                                  (Fraction(t, self.L), False),
+                                  (Fraction(t + 1, self.L), True)):
+                byte_reads.clear()
+                bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+                draws = [scalar.random() < p for _ in range(41 * self.L)]
+                per_block = [sum(draws[b:b + self.L]) for b in range(0, 41 * self.L, self.L)]
+                assert any(0 < h <= t for h in per_block), (seed, p)
+                assert any(h > t for h in per_block), (seed, p)
+                assert bulk._draws_below(count, p) == [
+                    k for k in range(count) if draws[k]], (seed, p)
+                assert bool(byte_reads) == bytes_read, (seed, p)
+                after = SplitMix64(seed)
+                for _ in range(count):
+                    after.random()
+                assert bulk.next_u64() == after.next_u64(), (seed, p)
+
+    def test_scanned_hits_past_count_are_dropped(self):
+        # seed 1's first block hits lanes 98 and 160 at p = 3/800, which
+        # takes the bit scan; both lie past count = 1, so neither is returned
+        assert SplitMix64(1)._draws_below(self.L, 3 / 800) == [98, 160]
+        bulk, scalar = SplitMix64(1), SplitMix64(1)
+        assert bulk._draws_below(1, 3 / 800) == []
+        scalar.random()
+        assert bulk.next_u64() == scalar.next_u64()
 
     def test_p_next_to_a_drawn_value(self):
         # a draw is a hit for any p above it, however close, and for no p at
