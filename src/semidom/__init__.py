@@ -15,7 +15,7 @@ from .approx import (SetCoverInstance, algo_dom_set, approx_semitotal,
                      build_semitotal_setcover, greedy_dominating_set,
                      greedy_set_cover)
 from .domination import (DominationKind, VerificationReport, ViolationReason,
-                         exact_min, verify)
+                         exact_min, verify, verify_intervals)
 from .errors import InfeasibleError, SizeCapError
 from .graph import (Graph, SplitPartition, bfs_distance, connected_components,
                     is_connected, neighborhood_within)
@@ -62,5 +62,5 @@ __all__ = [
     "gen_interval_model", "gen_named", "gen_split_graph",
     "greedy_dominating_set", "greedy_set_cover", "intersection_graph",
     "is_connected", "min_vertex_cover", "neighborhood_within",
-    "shortest_constrained_path", "solve_interval", "verify",
+    "shortest_constrained_path", "solve_interval", "verify", "verify_intervals",
 ]

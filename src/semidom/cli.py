@@ -14,7 +14,7 @@ import sys
 import time
 
 from .approx import approx_semitotal
-from .domination import DominationKind, exact_min, verify
+from .domination import DominationKind, exact_min, verify, verify_intervals
 from .errors import InfeasibleError, SizeCapError
 from .formats import (edgelist_header, parse_edgelist, parse_intervals,
                       parse_partition, parse_vertex_set, write_edgelist,
@@ -49,10 +49,18 @@ DEFAULT_MAX_NODES = 250_000
 # before it is built. Just under it (one run each, CPython 3.11.7, shared
 # 2-core Xeon): `solve --algo exact|approx` on 4472 identical intervals
 # takes 3.4-5.0 s and 486 MB; `reduce --kind split`, whose clique on the
-# source's n vertices plus two has C(n + 2, 2) edges, takes 19.2 s and
-# 1,616 MB on a 4470-vertex star; `gen --family complete --size 4472`
-# takes 11.1 s and 1,968 MB (`gen --family split` caps its clique alike)
+# source's n vertices plus two has C(n + 2, 2) edges, takes 3.5 s and
+# 457 MB on a 4470-vertex star; `gen --family complete --size 4472` takes
+# 3.1 s and 440 MB (`gen --family split` caps its clique alike). `gen
+# --family gp4|random` is refused when the drawn graph's expected edges,
+# p * C(n, 2), are over it
 MAX_BUILT_EDGES = 10_000_000
+
+# most vertex pairs `gen --family random` draws for, one draw per pair
+# whatever --p. At --p 0.0003 (one run each, as above): 2.5e7 draws
+# (--size 7071) took 1.65 s, 5e7 (--size 10000) 3.44 s and 1e8
+# (--size 14142) 7.84 s, at 17-21 MB
+MAX_PAIR_DRAWS = 50_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,14 +145,18 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    g = _graph_of(_load_instance(args))
+    inst = _load_instance(args)
     members = parse_vertex_set(_read(args.set))
-    report = verify(g, members, _KINDS[args.kind])
+    kind = _KINDS[args.kind]
+    if isinstance(inst, IntervalModel):  # judged on the model: no graph is built
+        report, m = verify_intervals(inst, members, kind), intersection_edge_count(inst)
+    else:
+        report, m = verify(inst, members, kind), inst.m
     doc = {
         "algorithm": "verify",
         "kind": args.kind,
-        "n": g.n,
-        "m": g.m,
+        "n": inst.n,
+        "m": m,
         "size": len(set(members)),
         "set": sorted(set(members)),
         "valid": report.valid,
@@ -248,8 +260,10 @@ def _generate(family: str, args):
 def _check_gen_size(args) -> None:
     """Raise SizeCapError, before anything is generated, for an edge list
     that `solve` could not read (more vertices than the edge-list header
-    allows) or whose clique has more than MAX_BUILT_EDGES edges, and for
-    more intervals than that vertex limit: the interval generator lists
+    allows) or whose clique has more than MAX_BUILT_EDGES edges, for a
+    random graph (gp4's base included) expected to draw more edges than
+    that or, for random, with more than MAX_PAIR_DRAWS vertex pairs, and
+    for more intervals than that vertex limit: the interval generator lists
     all 4n candidate endpoints first, in time and memory linear in n."""
     from .formats import _MAX_VERTICES
     if args.family == "intervals":
@@ -264,6 +278,16 @@ def _check_gen_size(args) -> None:
     if m > MAX_BUILT_EDGES:
         raise SizeCapError(f"--family {args.family} would write a clique of {m} "
                            f"edges (cap m<={MAX_BUILT_EDGES})")
+    if args.family in ("gp4", "random"):
+        # one draw per vertex pair of the random graph (gp4's base), each an
+        # edge with probability p; the generator judges a p out of range
+        draws, p = _clique_edges(args.size), 0.5 if args.family == "gp4" else args.p
+        if args.family == "random" and draws > MAX_PAIR_DRAWS:
+            raise SizeCapError(f"--family random would make {draws} pair draws "
+                               f"(cap {MAX_PAIR_DRAWS})")
+        if 0 <= p <= 1 and p * draws > MAX_BUILT_EDGES:
+            raise SizeCapError(f"--family {args.family} would draw about "
+                               f"{round(p * draws)} edges at p={p} (cap m<={MAX_BUILT_EDGES})")
 
 
 def _cmd_gen(args) -> tuple[dict, int]:

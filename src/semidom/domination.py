@@ -16,10 +16,14 @@ reference.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+
 from ._record import Record
 from .errors import InfeasibleError, SizeCapError
 from .graph import (Graph, _distance2_from_closed, check_vertex_set, closed_masks,
                     connected_components, open_masks)
+from .intervals import IntervalModel
 
 # The search recurses once per member it adds, so a component whose optimum
 # is larger than this would run into Python's recursion limit.
@@ -68,13 +72,69 @@ def verify(g: Graph, s, kind: DominationKind) -> VerificationReport:
             cover[v] += 1
         for u in adj[v]:
             cover[u] += 1
-    reason = (ViolationReason.NOT_TOTALLY_DOMINATED if total
+    lonely = ()
+    if kind is DominationKind.SEMITOTAL:
+        lonely = [v for v in members
+                  if cover[v] < 2 and all(cover[u] < 2 for u in adj[v])]
+    return _report(cover, lonely, kind)
+
+
+def verify_intervals(model: IntervalModel, s, kind: DominationKind) -> VerificationReport:
+    """`verify(intersection_graph(model), s, kind)` from the model alone: the
+    same report and the same errors, with no graph built.
+
+    The members' left and right endpoints, each sorted, give by two bisects
+    the number of members that meet any [lo, hi]: those that start at or
+    before hi, less those that end before lo (each of which also starts
+    before hi). An interval's cover is that count on itself, less its own
+    membership for TOTAL. The intervals that meet a member v span one
+    interval [L_v, R_v]: R_v is the largest right end among the intervals
+    that start by v's right end (a prefix max of b in a-order), L_v the
+    smallest left end among those that end from v's left end on (a suffix
+    min of a in b-order). Another member is within distance 2 of v iff it
+    meets [L_v, R_v], so v has a partner iff two members meet it.
+    O((n + |S|) log n) time, O(n) memory. Raises ValueError for a kind that
+    is not a DominationKind and for an id that `verify` would refuse.
+    """
+    if not isinstance(kind, DominationKind):
+        raise ValueError(f"unknown domination kind {kind!r}")
+    members = check_vertex_set(model, s)
+    ivs = model.intervals
+    starts = sorted(ivs[v][0] for v in members)
+    ends = sorted(ivs[v][1] for v in members)
+
+    def meeting(lo, hi) -> int:
+        return bisect_right(starts, hi) - bisect_left(ends, lo)
+
+    cover = [meeting(a, b) for a, b in ivs]
+    lonely = ()
+    if kind is DominationKind.TOTAL:
+        for v in members:
+            cover[v] -= 1
+    elif kind is DominationKind.SEMITOTAL:
+        by_a = sorted(ivs)
+        all_a = [a for a, _ in by_a]
+        reach = list(accumulate((b for _, b in by_a), max))
+        by_b = sorted(ivs, key=lambda iv: iv[1])
+        all_b = [b for _, b in by_b]
+        back = list(accumulate((a for a, _ in reversed(by_b)), min))[::-1]
+        lonely = [v for v in members
+                  if meeting(back[bisect_left(all_b, ivs[v][0])],
+                             reach[bisect_right(all_a, ivs[v][1]) - 1]) < 2]
+    return _report(cover, lonely, kind)
+
+
+def _report(cover: list[int], lonely, kind: DominationKind) -> VerificationReport:
+    """The report of one verification: every vertex whose cover count is 0,
+    then the members in `lonely` (increasing ids, SEMITOTAL only) that have
+    no partner within distance 2, all in id order. A member covers itself
+    under SEMITOTAL, so no vertex has two reasons."""
+    reason = (ViolationReason.NOT_TOTALLY_DOMINATED if kind is DominationKind.TOTAL
               else ViolationReason.UNDOMINATED)
     violations = [(v, reason) for v, c in enumerate(cover) if c == 0]
-    if kind is DominationKind.SEMITOTAL:
-        violations += [(v, ViolationReason.NO_PARTNER_WITHIN_2) for v in members
-                       if cover[v] < 2 and all(cover[u] < 2 for u in adj[v])]
-        violations.sort(key=lambda t: t[0])  # a vertex has at most one reason
+    if lonely:
+        violations += [(v, ViolationReason.NO_PARTNER_WITHIN_2) for v in lonely]
+        violations.sort(key=lambda t: t[0])
     return VerificationReport(tuple(violations))
 
 

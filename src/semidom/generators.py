@@ -234,7 +234,10 @@ def gen_named(family: str, size: int, seed: int = 0) -> Graph:
     if family == "complete":
         if size < 1:
             raise ValueError("complete graph needs size >= 1")
-        return Graph(size, [(u, v) for u in range(size) for v in range(u + 1, size)])
+        # rows straight from one id list, sharing its int objects: an edge
+        # list would hold two ints and a tuple per edge before the rows exist
+        ids = list(range(size))
+        return Graph(size, _rows=[ids[:v] + ids[v + 1:] for v in range(size)])
     if family == "gp4":
         from .reductions import GadgetKind, build_gadget
         base = gen_connected_graph(size, 0.5, seed)

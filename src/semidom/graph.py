@@ -148,6 +148,7 @@ def _raise_first_bad_edge(n: int, edges: Iterable, limit: int | None = None) -> 
 
 def check_vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
     """Validate a vertex set against g and return it as a sorted int tuple.
+    Only g's vertex count `n` is read, so g may be an interval model too.
 
     Raises ValueError for the first id, in input order, with no `__index__`
     (as `Graph` judges edge ends), then for the smallest id out of range.

@@ -26,7 +26,6 @@ The five kinds:
 from __future__ import annotations
 
 import enum
-import itertools
 from ._record import Record
 from .domination import DominationKind, exact_min, verify
 from .errors import InfeasibleError, SizeCapError
@@ -177,16 +176,26 @@ def build_gadget(g: Graph, kind: GadgetKind,
             ends = tuple(ids.get((tag, i), ids.get((tag, None))) for tag in pair)
             if None not in ends:
                 he.add(ends)
-    if kind is GadgetKind.SPLIT:  # the clique (x's origins) enlarged by every y_j, s and w
-        clique_h = list(origins["x"]) + [v for v, (tag, _) in roles.items()
-                                         if tag in ("y", "s", "w")]
-        he.update(itertools.combinations(sorted(clique_h), 2))
     if kind is GadgetKind.APX:
         for idx, (a, b) in enumerate(edges):
             ev = len(roles)
             roles[ev] = ("edge", idx)
             he.update([(a, ev), (b, ev)])
-    return GadgetOutput(h=Graph(len(roles), he), kind=kind, roles=roles, source=g)
+    h = Graph(len(roles), he)
+    if kind is GadgetKind.SPLIT:
+        # the clique (x's origins) enlarged by every y_j, s and w, written
+        # into its members' rows, which share the clique list's int objects;
+        # a row keeps its neighbours outside the clique (the source's clique
+        # edges are already among its members)
+        clique = sorted(list(origins["x"]) + [v for v, (tag, _) in roles.items()
+                                              if tag in ("y", "s", "w")])
+        inside = set(clique)
+        rows = list(h._adj)
+        for k, v in enumerate(clique):
+            rows[v] = sorted([u for u in rows[v] if u not in inside]
+                             + clique[:k] + clique[k + 1:])
+        h = Graph(len(roles), _rows=rows)
+    return GadgetOutput(h=h, kind=kind, roles=roles, source=g)
 
 
 def extend_solution(go: GadgetOutput, d_g) -> tuple[int, ...]:

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import semidom
-from semidom import cli
+from semidom import cli, intervals
 from semidom.formats import write_edgelist
 from semidom.generators import gen_connected_graph, gen_interval_model, gen_named
+from semidom.graph import Graph
 from semidom.intervals import intersection_graph
 
 SOLVE_KEYS = {"algorithm", "n", "m", "size", "set", "verified", "elapsedMs", "extra"}
@@ -493,6 +494,34 @@ class TestInProcess:
                          "--input", str(f)]) == 4
         assert "6 edges (cap m<=3)" in json.loads(capsys.readouterr().out)["error"]
 
+    def test_verify_on_intervals_builds_no_graph(self, tmp_path, capsys, monkeypatch):
+        # 20,000 identical intervals: the 199,990,000 edges that `verify`
+        # once built to count covers would take some 10 GB
+        f, members = tmp_path / "m.txt", tmp_path / "set.txt"
+        f.write_text("20000\n" + "0 1\n" * 20000)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("verify built a graph")
+
+        monkeypatch.setattr(cli, "intersection_graph", no_graph)
+        monkeypatch.setattr(intervals, "intersection_graph", no_graph)
+        monkeypatch.setattr(Graph, "__init__", no_graph)
+        for text, kind, code, violations in (("0 1\n", "semitotal", 0, []),
+                                             ("0 1\n", "total", 0, []),
+                                             ("5\n", "dom", 0, []),
+                                             ("5\n", "semitotal", 2,
+                                              [[5, "NO_PARTNER_WITHIN_2"]])):
+            members.write_text(text)
+            t0 = time.perf_counter()
+            got = cli.main(["verify", "--format", "intervals", "--input", str(f),
+                            "--set", str(members), "--kind", kind])
+            assert time.perf_counter() - t0 < 3.0
+            ids = list(map(int, text.split()))
+            assert (got, json.loads(capsys.readouterr().out)) == (code, {
+                "algorithm": "verify", "kind": kind, "n": 20000, "m": 199990000,
+                "size": len(ids), "set": ids, "valid": not violations,
+                "violations": violations})
+
     def test_exact_member_cap_exits_4(self, tmp_path, capsys):
         f = tmp_path / "path.txt"
         f.write_text(write_edgelist(gen_named("path", 3100)))
@@ -643,6 +672,43 @@ class TestInProcess:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "size-cap" and doc["error"].startswith(error)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        # gp4 draws its base at p = 0.5: C(6326, 2) / 2 edges expected
+        (["gp4", "--size", "6326"],
+         "--family gp4 would draw about 10002988 edges at p=0.5 (cap m<=10000000)"),
+        # one draw per pair, however small p is
+        (["random", "--size", "10001", "--p", "0.0001"],
+         "--family random would make 50005000 pair draws (cap 50000000)"),
+        (["random", "--size", "8166"],
+         "--family random would draw about 10001308 edges at p=0.3 (cap m<=10000000)"),
+    ])
+    def test_gen_refuses_a_drawn_graph_over_its_caps_before_generating(
+            self, tmp_path, capsys, monkeypatch, argv, error):
+        def generate(*args):
+            raise AssertionError("the graph was generated")
+        for name in ("gen_named", "gen_connected_graph"):
+            monkeypatch.setattr(f"semidom.generators.{name}", generate)
+        out = tmp_path / "g.txt"
+        assert cli.main(["gen", "--family", *argv, "--output", str(out)]) == 4
+        assert json.loads(capsys.readouterr().out) == {"error": error, "kind": "size-cap"}
+        assert not out.exists()
+
+    def test_gen_drawn_graph_caps_admit_their_own_size(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BUILT_EDGES", 10)
+        monkeypatch.setattr(cli, "MAX_PAIR_DRAWS", 21)
+        out = str(tmp_path / "g.txt")
+        for argv, code in ((["gp4", "--size", "5"], 0),  # 5 of C(5, 2) = 10 edges
+                           (["gp4", "--size", "7"], 4),  # 10.5 of 21
+                           (["random", "--size", "7", "--p", "0.1"], 0),  # 21 draws
+                           (["random", "--size", "8", "--p", "0.1"], 4),  # 28 draws
+                           (["random", "--size", "5", "--p", "1"], 0),  # 10 edges
+                           (["random", "--size", "6", "--p", "0.6"], 0),  # 9 of 15
+                           (["random", "--size", "6", "--p", "0.75"], 4),  # 11.25
+                           # a p out of range is the generator's error
+                           (["random", "--size", "6", "--p", "2"], 1)):
+            assert cli.main(["gen", "--family", *argv, "--output", out]) == code, argv
+            capsys.readouterr()
 
     def test_gen_caps_admit_what_solve_reads(self, tmp_path, capsys, monkeypatch):
         from semidom import formats

@@ -12,7 +12,9 @@ format. On one family:
   `approx` give the same set in both formats;
 - `approx` is valid and within 2 + 3 ln(Δ+1) of the exact size;
 - `verify` accepts every answer as semitotal and as dominating, in both
-  formats, and judges every kind as the definitions in tests/oracles.py do.
+  formats, and judges every kind as the definitions in tests/oracles.py do;
+- `verify_intervals` on the model gives the report `verify` gives on its
+  intersection graph, for every answer and kind.
 
 `verify` judges a given set, not an instance. Where every solve route
 fails, it judges the whole vertex set: the isolated vertex has no partner,
@@ -25,6 +27,7 @@ import math
 import pytest
 
 from semidom import cli
+from semidom.domination import verify, verify_intervals
 from semidom.formats import parse_intervals, write_edgelist
 from semidom.intervals import intersection_graph
 
@@ -62,7 +65,8 @@ def run(capsys, *argv):
 def test_every_route_agrees(tmp_path, capsys, family):
     lines, failure = FAMILIES[family]
     text = f"{len(lines)}\n" + "".join(line + "\n" for line in lines)
-    g = intersection_graph(parse_intervals(text))
+    model = parse_intervals(text)
+    g = intersection_graph(model)
     edges = g.sorted_edges()
     files = {"intervals": tmp_path / "model.txt", "edgelist": tmp_path / "graph.txt"}
     files["intervals"].write_text(text)
@@ -104,5 +108,7 @@ def test_every_route_agrees(tmp_path, capsys, family):
             code, doc = verdicts[0]
             valid = oracles.is_valid_set(g.n, edges, members, name)
             assert (code, doc["valid"]) == ((0, True) if valid else (2, False))
+            kind_enum = cli._KINDS[kind]
+            assert verify_intervals(model, members, kind_enum) == verify(g, members, kind_enum)
             if failure is None and kind != "total":
                 assert valid

@@ -1,7 +1,9 @@
 import inspect
 import itertools
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from semidom import domination
 from semidom.approx import approx_semitotal
 from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
-                                _search, exact_min, verify)
+                                _search, exact_min, verify, verify_intervals)
 from semidom.errors import InfeasibleError, SizeCapError
-from semidom.generators import (SplitMix64, gen_connected_graph, gen_named,
-                                gen_split_graph)
+from semidom.generators import (SplitMix64, gen_connected_graph, gen_interval_model,
+                                gen_named, gen_split_graph)
 from semidom.graph import Graph
 from semidom.intervals import IntervalModel, intersection_graph
 from semidom.reductions import GadgetKind, build_gadget
@@ -114,14 +116,18 @@ def assert_report_matches_oracle(g, s):
         assert report.valid == (not got)
 
 
-def bounded_length_model_graph(n, rng):
+def bounded_model(n, rng):
     # start steps 0-3 and lengths 1-5: touching endpoints, nesting and gaps
     # that leave isolated intervals and several components
     pairs, a = [], 0
     for _ in range(n):
         a += rng.randrange(4)
         pairs.append((a, a + 1 + rng.randrange(5)))
-    return intersection_graph(IntervalModel(tuple(pairs)))
+    return IntervalModel(tuple(pairs))
+
+
+def bounded_length_model_graph(n, rng):
+    return intersection_graph(bounded_model(n, rng))
 
 
 class TestVerifyReports:
@@ -168,6 +174,113 @@ class TestVerifyReports:
         assert len(report.violations) == n // 3 + 1
         assert report.violations[-2:] == ((29997, ViolationReason.NO_PARTNER_WITHIN_2),
                                           (29999, ViolationReason.UNDOMINATED))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_model_verdicts_match(model, *sets):
+    g = intersection_graph(model)
+    for s, kind in itertools.product(sets, DominationKind):
+        assert verify_intervals(model, s, kind) == verify(g, s, kind), (model, s, kind)
+
+
+def half_unit(x, rng):
+    # x / 2 as an int (x even), a Fraction or a float: equal values of
+    # different types touch
+    pick = rng.randrange(3)
+    if pick == 0 and x % 2 == 0:
+        return x // 2
+    return Fraction(x, 2) if pick < 2 else x / 2
+
+
+def mixed_model(n, rng):
+    # starts step 0-3 and lengths 1-6 half-units, with a gap of 8 before a
+    # new group now and then: touching endpoints, nesting, several
+    # components and isolated intervals, in any order
+    pairs, x = [], 0
+    for _ in range(n):
+        x += rng.randrange(4) + (8 if rng.randrange(10) == 0 else 0)
+        pairs.append((half_unit(x, rng), half_unit(x + 1 + rng.randrange(6), rng)))
+    order = sorted(range(n), key=lambda _: rng.random())
+    return IntervalModel(tuple(pairs[i] for i in order))
+
+
+class TestVerifyIntervals:
+    """`verify_intervals(m, s, kind) == verify(intersection_graph(m), s, kind)`,
+    errors included."""
+
+    def test_seeded_models(self):
+        rng = SplitMix64(31)
+        for case in range(150):
+            n = 1 + rng.randrange(200 if case % 8 == 0 else 30)
+            model = mixed_model(n, rng)
+            density = rng.random()
+            s = [v for v in range(n) if rng.random() < density]
+            s += [s[rng.randrange(len(s))] for _ in range(rng.randrange(3))] if s else []
+            assert_model_verdicts_match(model, s, [], range(n))
+
+    def test_generated_and_bounded_length_models(self):
+        rng = SplitMix64(32)
+        for n in (1, 2, 5, 40, 200):
+            for model in (gen_interval_model(n, n), bounded_model(n, rng)):
+                s = [v for v in range(n) if rng.random() < 0.3]
+                assert_model_verdicts_match(model, s)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_models(self, data):
+        scale = data.draw(st.sampled_from([int, lambda x: Fraction(x, 3), lambda x: x / 4]))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 8)),
+                                   max_size=16))
+        model = IntervalModel(tuple((scale(a), scale(a + d)) for a, d in pairs))
+        n = len(pairs)
+        s = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)) if n else []
+        assert_model_verdicts_match(model, s)
+
+    def test_edge_cases(self):
+        empty = IntervalModel(())
+        chain = IntervalModel(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
+        nested = IntervalModel(((0, 10), (1, 2), (3, 4), (5, 6), (8, 9)))
+        apart = IntervalModel(((0, 1), (2, 3), (Fraction(5, 2), 2.75), (9, 10)))
+        for model, s in ((empty, ()), (chain, ()), (chain, (0, 4)), (chain, (2,)),
+                         (chain, (1, 3, 1, 3)), (nested, (1, 3)), (nested, (1, 4)),
+                         (nested, (0,)), (apart, (0, 2, 3)), (apart, range(4))):
+            assert_model_verdicts_match(model, s)
+
+    def test_errors_match(self):
+        chain = IntervalModel(((0, 1), (1, 2), (2, 3)))
+        for model, s, kind in ((chain, (0,), "semitotal"), (chain, (9,), None),
+                               (chain, (9,), SEMI), (chain, (1, 9, -1), DOM),
+                               (chain, (0, "2", 9), TOT), (chain, [1.0], SEMI),
+                               (IntervalModel(()), (0,), DOM)):
+            expected = outcome(verify, intersection_graph(model), s, kind)
+            assert isinstance(expected, tuple) and expected[0] is ValueError
+            assert outcome(verify_intervals, model, s, kind) == expected
+
+    def test_one_shot_member_iterators(self):
+        chain = IntervalModel(((0, 1), (1, 2), (2, 3)))
+        for kind in DominationKind:
+            assert (verify_intervals(chain, iter((1, 1)), kind)
+                    == verify(intersection_graph(chain), [1], kind))
+
+    def test_large_models_in_n_log_n(self):
+        # 200,000 identical intervals have about 2e10 edges; the 1e5 chain
+        # (3i, 3i + 4 + i % 3) is the north-star interval input
+        same = IntervalModel(((0, 1),) * 200_000)
+        chain = IntervalModel(tuple((3 * i, 3 * i + 4 + i % 3) for i in range(100_000)))
+        t0 = time.perf_counter()
+        assert verify_intervals(same, (0, 1), SEMI).valid
+        report = verify_intervals(chain, range(0, 100_000, 2), SEMI)
+        assert time.perf_counter() - t0 < 10
+        assert report.valid
+        assert verify_intervals(same, (0,), SEMI).violations == (
+            (0, ViolationReason.NO_PARTNER_WITHIN_2),)
 
 
 class TestExactMin:
