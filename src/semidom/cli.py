@@ -41,8 +41,8 @@ GADGET_KINDS = ("gp4", "bipartite", "split", "ln", "apx")
 
 # `solve --algo exact` node budget when --max-nodes is not given, and the
 # budget of each exact search `check-reduction` runs: the largest search in
-# the tests' check-reduction gates visits 15,052 nodes, and the slowest
-# source measured at the caps (beside reductions._LAYOUT) 188,046
+# the tests' check-reduction gates visits 15,054 nodes, and the slowest
+# source measured at the caps (beside reductions._LAYOUT) 169,195
 DEFAULT_MAX_NODES = 250_000
 
 # most edges of a graph the CLI builds rather than reads, each refused

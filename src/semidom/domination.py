@@ -162,20 +162,48 @@ def exact_min(g: Graph, kind: DominationKind,
     Lonely members (SEMITOTAL only) are members with no other member within
     distance 2.
 
+    Before either phase, each candidate u that a smaller v dominates leaves
+    `allowed` for good, and the lexicographic phase skips it: cover[u] is
+    a subset of cover[v], with `cover` the closed neighbourhood (open for
+    TOTAL), and, for SEMITOTAL, some x < u other than v lies within
+    distance 2 of v. No lexicographically smallest optimum holds such a u.
+    Take an optimum D that holds u:
+
+    - v is not in D: D - u + v is valid. v dominates all that u did, and
+      for SEMITOTAL N_2[u] lies in N_2[v] (as N[u] lies in N[v]), so v
+      partners every member that u partnered, and u's partner partners v.
+    - v is in D and, for SEMITOTAL, has a partner other than u: D - u is
+      valid and smaller. (For TOTAL, u keeps the member that dominated it.)
+    - u is v's only partner (SEMITOTAL): x is not in D, as it would
+      partner v, and D - u + x is valid: v and x partner each other, and v
+      dominates and partners all that u did.
+
+    Each swap gives a set of the same size whose smallest element outside
+    D, v or x, is below u, so D was not the lexicographically smallest.
+    For DOMINATING and SEMITOTAL v lies in N[u], and for TOTAL in N(w) for
+    u's first neighbour w, so the pairs come from adjacency rows, not from
+    all pairs.
+
     - It branches on the most constrained item, an undominated vertex or a
       lonely member with the fewest candidates left in `allowed`. Each
       tried candidate leaves `allowed` for its later siblings, so the
       branches are disjoint; the one dominating most new vertices goes
-      first, smallest id on ties.
+      first. On ties, for SEMITOTAL, a leaf with no chosen member within
+      distance 2 goes after the others, then the smallest id goes first.
+      On BIPARTITE gadgets the rule above drops each pendant path's end
+      w, so every u is forced at the root and dominates z; y and the leaf
+      x then tie on gain, and x, with no member within distance 2, would
+      otherwise be tried first and fail deep down.
     - Items left with a single candidate take it at once.
     - Away from the root, a node with one member left (r == 1) does not
       branch: the new member must lie in the candidate set of every
       undominated vertex and lonely member, which the item scan
       intersects, and, for SEMITOTAL, have a chosen member within
       distance 2. It returns the smallest such member, or fails. Every
-      such member dominates all undominated vertices, so the branching
-      would try them in id order and return the same one; the bounds and
-      forced members reject only nodes where none exists.
+      such member dominates all undominated vertices and is no leaf put
+      last, so the branching would try them in id order and return the
+      same one; the bounds and forced members reject only nodes where none
+      exists.
     - A later candidate u is skipped when a failed sibling c stands in for
       it: c dominates every undominated vertex that u dominates and, for
       SEMITOTAL, has within distance 2 every vertex other than c that u
@@ -200,7 +228,8 @@ def exact_min(g: Graph, kind: DominationKind,
     1. Size: k* is the smallest k for which the search from the empty set
        succeeds; its answer is a first optimum.
     2. Order: member i is the smallest u for which the search with budget
-       k* - i - 1 and `allowed` = {w > u} succeeds from the first i members
+       k* - i - 1 and `allowed` = {w > u} (less the dominated candidates)
+       succeeds from the first i members
        plus u. Only ids below member i of the current optimum need a
        search; a success replaces that optimum. That member is never past
        the last id that can still dominate every undominated vertex and
@@ -247,6 +276,28 @@ def exact_min(g: Graph, kind: DominationKind,
     return tuple(sorted(members))
 
 
+def _kept(g: Graph, cover: list[int], partner: list[int] | None, total: bool) -> int:
+    """The mask of the candidates that a lexicographically smallest optimum
+    may hold: u is left out when a smaller v dominates it (see exact_min).
+    `cover` holds g's closed neighbourhoods (open ones if `total`), and
+    `partner` the distance-2 masks for SEMITOTAL, else None. Such a v lies
+    in cover[u], or for TOTAL in cover[w] for u's first neighbour w, so
+    O(m) pairs are tried for DOMINATING and SEMITOTAL, and for TOTAL one
+    per neighbour of each vertex's first neighbour."""
+    keep = (1 << g.n) - 1
+    for u, row in enumerate(g._adj):
+        below = (1 << u) - 1
+        vs = (cover[row[0]] if total else cover[u]) & below
+        while vs:
+            low = vs & -vs
+            vs ^= low
+            v = low.bit_length() - 1
+            if not cover[u] & ~cover[v] and (partner is None or partner[v] & below):
+                keep ^= 1 << u
+                break
+    return keep
+
+
 def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
             max_size: int = _MAX_MEMBERS) -> tuple[tuple[int, ...] | None, int]:
     """exact_min on a graph with no isolated vertex unless kind is
@@ -255,7 +306,8 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
     than max_size members: the size phase stops once no set of at most
     max_size members is left to try, so max_size also bounds its depth."""
     n = g.n
-    cover = open_masks(g) if kind is DominationKind.TOTAL else closed_masks(g)
+    total = kind is DominationKind.TOTAL
+    cover = open_masks(g) if total else closed_masks(g)
     semitotal = kind is DominationKind.SEMITOTAL
     partner = _distance2_from_closed(g, cover) if semitotal else None
     full = (1 << n) - 1
@@ -266,7 +318,7 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
     # (leaves) first, and so packs more sets; for TOTAL, plain id order
     # packed more on GP4 gadgets
     scans = [(full, cover)]
-    if kind is not DominationKind.TOTAL:
+    if not total:
         by_size: dict[int, int] = {}
         for v in range(n):
             c = cover[v].bit_count()
@@ -274,6 +326,11 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
         scans = [(by_size[c], cover) for c in sorted(by_size)]
     if semitotal:
         scans.append((full, partner))
+    keep = _kept(g, cover, partner, total)
+    # SEMITOTAL's branch order puts a leaf (a closed neighbourhood of two)
+    # with no chosen member within distance 2 after the candidates of equal
+    # gain
+    leaves = by_size.get(2, 0) if semitotal else 0
 
     def step_lonely(lonely: int, chosen: int, u: int) -> int:
         # lonely members once u joins `chosen`
@@ -384,10 +441,11 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
             low = best & -best
             best ^= low
             u = low.bit_length() - 1
-            order.append((-(cover[u] & undom).bit_count(), u))
+            late = leaves >> u & 1 and not partner[u] & chosen
+            order.append((-(cover[u] & undom).bit_count(), late, u))
         order.sort()
         failed: list[int] = []
-        for _, u in order:
+        for *_, u in order:
             low = 1 << u
             allowed ^= low
             if failed and stood_in(u, undom, failed):
@@ -400,7 +458,7 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
         return 0
 
     k = 2 if semitotal else 1
-    while not (best := feasible(k, 0, 0, 0, full)):
+    while not (best := feasible(k, 0, 0, 0, keep)):
         k = max(k + 1, need)
         if k > max_size:
             return None, nodes
@@ -417,13 +475,15 @@ def _search(g: Graph, kind: DominationKind, max_nodes: int | None, nodes: int,
         nxt &= -nxt
         undom = full & ~dominated
         for u in range(start, nxt.bit_length() - 1):
+            if not keep >> u & 1:
+                continue
             if not semitotal and not cover[u] & undom:
                 continue  # a member that dominates nothing new is never in an optimum
             if failed and stood_in(u, undom, failed):
                 continue
             low = 1 << u
             found = feasible(k - i - 1, chosen | low, dominated | cover[u],
-                             step_lonely(lonely, chosen, u), full & ~((low << 1) - 1))
+                             step_lonely(lonely, chosen, u), keep & ~((low << 1) - 1))
             if found:
                 best, nxt = found, low
                 break

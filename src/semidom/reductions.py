@@ -115,6 +115,10 @@ class _Layout(Record):
 #   SPLIT      96: 0.04 s  128: 0.32 s  192: 69.3+ s
 #   LN         48: 0.08 s   64: 0.50 s   80: 8.88 s
 #   APX        32: 0.44 s   40: 2.95 s   48: 8.79 s
+# Since exact_min drops dominated candidates, the slowest at each cap takes
+# GP4 0.03 s, BIPARTITE 1.85 s, SPLIT 0.21 s, LN 0.44 s and APX 1.62 s, and
+# GP4 at 48 / 64 takes 0.06 / 0.24 s (BENCH_exact.json, static_dominance);
+# the caps are still the ones measured above
 _LAYOUT = {
     # lifted by x_i and y_i: they dominate the whole pendant path totally
     # (w_i would leave y_i without a neighbor in the set)

@@ -541,13 +541,14 @@ class TestInProcess:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"error": "exact search exceeded its budget of 2000 nodes",
                        "kind": "size-cap"}
-        # --max-nodes overrides the default: P_30 needs 101 nodes
-        monkeypatch.setattr(cli, "DEFAULT_MAX_NODES", 100)
+        # --max-nodes overrides the default: P_30 needs 97 nodes (101 before
+        # dominated candidates left the search)
+        monkeypatch.setattr(cli, "DEFAULT_MAX_NODES", 96)
         f.write_text(write_edgelist(gen_named("path", 30)))
         solve = ["solve", "--algo", "exact", "--input", str(f)]
         assert cli.main(solve) == 4
-        assert "budget of 100 nodes" in json.loads(capsys.readouterr().out)["error"]
-        assert cli.main(solve + ["--max-nodes", "101"]) == 0
+        assert "budget of 96 nodes" in json.loads(capsys.readouterr().out)["error"]
+        assert cli.main(solve + ["--max-nodes", "97"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_check_reduction_node_budget_exits_4(self, capsys, monkeypatch):

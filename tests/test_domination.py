@@ -15,7 +15,7 @@ from semidom.domination import (_MAX_MEMBERS, DominationKind, ViolationReason,
 from semidom.errors import InfeasibleError, SizeCapError
 from semidom.generators import (SplitMix64, gen_connected_graph, gen_interval_model,
                                 gen_named, gen_split_graph)
-from semidom.graph import Graph
+from semidom.graph import Graph, closed_masks, distance2_masks, open_masks
 from semidom.intervals import IntervalModel, intersection_graph
 from semidom.reductions import GadgetKind, build_gadget
 
@@ -416,10 +416,27 @@ class TestExactSearch:
     def test_bench_pool_search_tree_pinned(self):
         # nodes each pool graph's search visits, seed by seed; a change that
         # only makes nodes cheaper keeps every count, so update these only
-        # with a deliberate change to the tree. SEMI s = 27, 28 and 36 took
-        # 118, 49 and 128 nodes with a bound on the number of lonely members
-        # one new member can pair; no other pool tree changed without it
+        # with a deliberate change to the tree
         pins = {
+            SEMI: (37, 51, 87, 81, 49, 81, 40, 28, 47, 38, 166, 35, 32, 41, 44,
+                   62, 26, 25, 35, 42, 26, 59, 52, 43, 29, 72, 23, 155, 32, 26,
+                   38, 29, 76, 35, 62, 49, 105, 26, 37),
+            DOM: (30, 35, 71, 62, 40, 30, 21, 18, 45, 23, 81, 26, 18, 18, 23,
+                  21, 19, 15, 24, 41, 19, 30, 45, 26, 26, 39, 21, 33, 15, 20, 22,
+                  22, 32, 27, 47, 32, 15, 15, 25),
+            TOT: (19, 40, 34, 36, 59, 16, 46, 29, 40, 28, 54, 16, 20, 37, 15,
+                  19, 16, 28, 29, 26, 32, 33, 39, 21, 41, 31, 29, 32, 17, 13,
+                  14, 25, 26, 17, 27, 35, 22, 33, 31),
+        }
+        # the counts before dominated candidates left `allowed` and leaves
+        # with no chosen member within distance 2 went last on ties. That
+        # changes which branch goes first, not only which failing subtrees
+        # are cut, so a graph may rise: SEMI s = 20 (24 -> 26) and 27 (121
+        # -> 155), DOM s = 20 (18 -> 19), TOT s = 1, 3, 8, 10, 21, 22, 26,
+        # 31 and 36 (by 1-5 nodes). No kind's sum or largest count may rise.
+        # SEMI s = 27, 28 and 36 took 118, 49 and 128 nodes with a bound on
+        # the number of lonely members one new member can pair
+        head = {
             SEMI: (48, 54, 104, 95, 66, 133, 49, 46, 73, 82, 183, 55, 42, 55,
                    60, 64, 37, 28, 38, 42, 24, 63, 70, 50, 31, 74, 31, 121, 51,
                    30, 64, 41, 78, 52, 85, 49, 136, 29, 39),
@@ -432,7 +449,7 @@ class TestExactSearch:
         }
         # the counts before a node with one member left settled it at once
         # and the lexicographic phase shared its failures across positions;
-        # both only cut failing subtrees, so no graph may need more nodes
+        # both only cut failing subtrees, so no graph needed more nodes
         parent = {
             SEMI: (54, 58, 109, 96, 70, 149, 63, 57, 81, 88, 215, 69, 48, 61,
                    67, 76, 38, 33, 44, 45, 29, 69, 72, 57, 34, 78, 35, 131, 52,
@@ -444,10 +461,14 @@ class TestExactSearch:
                   21, 18, 41, 42, 31, 37, 36, 45, 53, 46, 37, 30, 53, 20, 21,
                   20, 29, 30, 22, 32, 43, 26, 41, 33),
         }
-        assert (sum(pins[SEMI]), max(pins[SEMI])) == (2472, 183)
+        assert (sum(pins[SEMI]), max(pins[SEMI])) == (2021, 166)
+        assert (sum(head[SEMI]), max(head[SEMI])) == (2472, 183)
         assert (sum(parent[SEMI]), max(parent[SEMI])) == (2742, 215)
+        rose = {SEMI: [20, 27], DOM: [20], TOT: [1, 3, 8, 10, 21, 22, 26, 31, 36]}
         for kind, counts in pins.items():
-            assert all(c <= p for c, p in zip(counts, parent[kind])), kind
+            assert all(h <= p for h, p in zip(head[kind], parent[kind])), kind
+            assert sum(counts) <= sum(head[kind]) and max(counts) <= max(head[kind]), kind
+            assert [s for s in range(39) if counts[s] > head[kind][s]] == rose[kind], kind
         for s in range(39):
             g = gen_connected_graph(30, 0.08, s)
             for kind, counts in pins.items():
@@ -494,14 +515,16 @@ class TestExactSearch:
         assert_matches_lex_search(9, edges)
 
     def test_a_forced_member_with_no_partner_left_fails_at_once(self):
-        # SEMITOTAL: the lexicographic phase tries 2 as the first member, so
-        # 0 and 1 are out of `allowed`; below it the branch on 5 fails, and
-        # in the branch on 3 vertex 1 has 11 as its only candidate left.
-        # 11 joins as a forced member, and 0, 1 and 5, all it has within
-        # distance 2, are out: the lonely 11 has no candidate, and that node
-        # fails in its item scan, the one exit no other test reaches
-        g = Graph(12, [(0, 3), (0, 5), (1, 5), (1, 11), (2, 3), (2, 4), (4, 7), (5, 11),
-                       (6, 8), (6, 9), (7, 8), (7, 9), (7, 10), (8, 10)])
+        # SEMITOTAL: 2 dominates 4 (N[4] lies in N[2], and 0 lies within
+        # distance 2 of 2), so 4 is never a candidate. The lexicographic
+        # phase tries 1 as the first member, so 0 is out of `allowed`; below
+        # it the branch on 3 fails, and in the branch on 5 vertex 4 has 2 as
+        # its only candidate left. 2 joins as a forced member, and 0, 3 and
+        # 4, all it has within distance 2, are out: the lonely 2 has no
+        # candidate, and that node fails in its item scan, the one exit no
+        # other test reaches. No graph with at most 7 vertices reaches it
+        g = Graph(12, [(0, 3), (0, 5), (1, 9), (1, 11), (2, 3), (2, 4), (3, 4), (5, 11),
+                       (6, 8), (6, 9), (7, 8), (7, 10), (8, 10)])
         src, _ = inspect.getsourcelines(domination)
         exit_line = 1 + next(i for i, line in enumerate(src, 1)
                              if line.strip() == "if not cands:")
@@ -522,7 +545,7 @@ class TestExactSearch:
         finally:
             sys.settrace(previous)
         assert exit_line in run
-        assert (found, spent) == ((3, 5, 6, 7), 39)
+        assert (found, spent) == ((3, 5, 8, 9), 23)
         assert_matches_lex_search(g.n, g.sorted_edges())
 
     def test_nested_neighbourhoods_match_lex_search(self):
@@ -556,9 +579,11 @@ class TestExactSearch:
     def test_reach_at_n60_in_nodes(self):
         # nodes each graph's search visits, seed by seed; for SEMI and DOM
         # also the nodes it needed before a failed sibling stood in for
-        # later candidates, which no graph may exceed
+        # later candidates, which no graph may exceed. Dropping dominated
+        # candidates took TOT s = 1 from 2,449 to 2,446 and s = 2 from 1,609
+        # to 1,632 nodes, and left SEMI and DOM as they were
         nodes = {SEMI: (13_467, 10_800, 1_483), DOM: (5_412, 8_971, 997),
-                 TOT: (1_619, 2_449, 1_609)}
+                 TOT: (1_619, 2_446, 1_632)}
         before = {SEMI: (25_620, 10_809, 1_944), DOM: (25_954, 13_069, 2_681)}
         for kind, counts in before.items():
             assert all(c <= b for c, b in zip(nodes[kind], counts)), kind
@@ -568,6 +593,31 @@ class TestExactSearch:
                 found, spent = _search(g, kind, None, 0)
                 assert spent == counts[s], (kind, s)
                 assert exact_min(g, kind, max_nodes=spent) == found, (kind, s)
+
+    def test_reach_per_class_in_nodes(self):
+        # one graph per hard class of the paper (planar GP4, split, chordal
+        # bipartite BIPARTITE and APX gadgets), with the nodes its search
+        # visits and the nodes it visited before dominated candidates left
+        # `allowed`, which also bounds the search; a change that makes a
+        # class worse fails here
+        gp4 = gen_named("gp4", 48, 1)
+        cases = [
+            ("gp4 48", gp4, SEMI, 194, 1_421),
+            ("gp4 48", gp4, TOT, 146, 3_070),
+            ("GP4 gadget", build_gadget(gen_connected_graph(40, 0.3, 2), GadgetKind.GP4).h,
+             TOT, 624, 43_735),
+            ("split", gen_split_graph(200, 400, 0.01, 0)[0], SEMI, 340, 1_768),
+            ("BIPARTITE gadget",
+             build_gadget(gen_connected_graph(48, 3 / 48, 1), GadgetKind.BIPARTITE).h,
+             SEMI, 3_826, 4_316),
+            ("APX gadget", build_gadget(gen_connected_graph(24, 0.2, 0), GadgetKind.APX).h,
+             SEMI, 1_251, 1_435),
+        ]
+        for name, g, kind, count, before in cases:
+            assert count <= before, name
+            found, spent = _search(g, kind, before, 0)
+            assert spent == count, (name, kind)
+            assert exact_min(g, kind, max_nodes=spent) == found, (name, kind)
 
     def test_components_are_searched_one_at_a_time(self):
         # searched as one instance, this 90-vertex union passes 10^5 nodes
@@ -619,6 +669,74 @@ class TestExactSearch:
             assert exact_min(small, kind, max_nodes=10**6) == exact_min(small, kind)
         with pytest.raises(ValueError, match=r"^node budget must be positive, got 0$"):
             exact_min(small, SEMI, max_nodes=0)
+
+
+def kept(g, kind):
+    """The candidates `_search` keeps on g, as a sorted list."""
+    total = kind is TOT
+    cover = open_masks(g) if total else closed_masks(g)
+    partner = distance2_masks(g) if kind is SEMI else None
+    mask = domination._kept(g, cover, partner, total)
+    return [v for v in range(g.n) if mask >> v & 1]
+
+
+class TestDominatedCandidates:
+    """The candidates no lexicographically smallest optimum holds leave the
+    search before it starts; `TestExactSearch` checks the answers on
+    hypothesis graphs and on the pool's DOM and TOT sides."""
+
+    def test_kept_on_a_path_and_stars(self):
+        # on P_5 the end 4 lies under 3 (under 2 for TOTAL, N(4) in N(2)),
+        # and for SEMITOTAL 0 and 1 lie within distance 2 of 3
+        for kind in (DOM, TOT, SEMI):
+            assert kept(P5, kind) == [0, 1, 2, 3], kind
+        # K_{1,1} to K_{1,7}: every leaf lies under the centre, and under
+        # leaf 1 for TOTAL. SEMITOTAL keeps leaf 1: no vertex below it but
+        # the centre lies within distance 2 of the centre, and dropping it
+        # would leave the centre no partner
+        for n in range(2, 9):
+            star = gen_named("star", n)
+            assert kept(star, DOM) == [0], n
+            assert kept(star, TOT) == kept(star, SEMI) == [0, 1], n
+        k2 = Graph(2, [(0, 1)])
+        assert (kept(k2, DOM), kept(k2, TOT), kept(k2, SEMI)) == ([0], [0, 1], [0, 1])
+
+    def test_every_graph_up_to_five_vertices(self):
+        # every labelled graph with 1-5 vertices, 1,099 graphs in three kinds
+        cases = 0
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                assert_matches_lex_search(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                cases += 3
+        assert cases == 3297
+
+    def test_stars(self):
+        for n in range(2, 9):
+            star = gen_named("star", n)
+            assert_matches_lex_search(n, star.sorted_edges())
+            assert exact_min(star, SEMI) == exact_min(star, TOT) == (0, 1), n
+
+    def test_graphs_with_k2_components(self):
+        # 1-3 K_2 components beside a random graph, the ids interleaved
+        rng = SplitMix64(2525)
+        for _ in range(150):
+            pairs = 1 + rng.randrange(3)
+            rest = rng.randrange(8)
+            n = 2 * pairs + rest
+            perm = rng.sample_without_replacement(n, n)
+            edges = [(perm[2 * i], perm[2 * i + 1]) for i in range(pairs)]
+            p = rng.random()
+            edges += [(perm[2 * pairs + u], perm[2 * pairs + v])
+                      for u in range(rest) for v in range(u + 1, rest) if rng.random() < p]
+            assert_matches_lex_search(n, [(min(e), max(e)) for e in edges])
+
+    def test_bench_pool_semitotal_past_seed_9(self):
+        # the pool's seeds 0-9 run in TestExactSearch
+        for s in range(10, 39):
+            g = gen_connected_graph(30, 0.08, s)
+            want = oracles.lex_exact_min(g.n, g.sorted_edges(), "semitotal")
+            assert exact_min(g, SEMI) == want, s
 
 
 class TestInvariants:
