@@ -119,6 +119,8 @@ def parse_intervals(text: str) -> IntervalModel:
     if len(lines[0]) != 1:
         raise ValueError(f"expected header 'n', got {' '.join(lines[0])!r}")
     n = int(lines[0][0])
+    if n < 0:
+        raise ValueError(f"interval count must be nonnegative, got {n}")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} interval lines, found {len(lines) - 1}")
     pairs = []

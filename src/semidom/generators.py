@@ -8,7 +8,9 @@ machine and Python version. Golden tests pin the outputs.
 from __future__ import annotations
 
 import math
+import struct
 from bisect import insort
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import compress
 
@@ -40,6 +42,10 @@ _CARRIES = _ONES << 64  # bit 64 of every lane
 # 2-4 microseconds, more than the wrong choice costs a block near the
 # crossover (BENCH_gen.json, bit_scan).
 _SCAN_HITS = 16
+# A block's 256 lanes as 512 little-endian u64 words, lane i's draw in word
+# 2i. A fixed byte order, unlike memoryview.cast("Q"), keeps the draws the
+# same on every platform.
+_LANE_WORDS = struct.Struct(f"<{2 * _LANES}Q")
 
 
 class SplitMix64:
@@ -72,10 +78,42 @@ class SplitMix64:
         if k > bound:
             raise ValueError("sample larger than population")
         pool = list(range(bound))
-        for i in range(k):
-            j = i + self.randrange(bound - i)
+        # swap i takes the i-th draw modulo bound - i, as randrange would
+        for i, u in enumerate(self._next_u64s(k)):
+            j = i + u % (bound - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+    def _mixed_blocks(self, count: int) -> Iterator[int]:
+        """The next `count` outputs of `next_u64()`, _LANES per block, each
+        block one int whose lane i holds output i of the block in its low 64
+        bits; the stream then stands where `count` calls of `next_u64()`
+        leave it, from the first block on.
+
+        The lanes come before the final mask: bits 64-96 of each lane are
+        zero, and bits 97-127 hold the next lane's low bits. The lane states
+        are one int, stepped from block to block by adding _STEP and masking,
+        so a block costs no product with the state. The last block's lanes
+        past `count` hold the draws that follow.
+        """
+        lanes = (_ONES * self._state + _RAMP) & _LANE_MASK
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        for _ in range(0, count, _LANES):
+            z = ((lanes ^ (lanes >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+            z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+            yield z ^ (z >> 31)
+            lanes = (lanes + _STEP) & _LANE_MASK
+
+    def _next_u64s(self, count: int) -> list[int]:
+        """`[self.next_u64() for _ in range(count)]`, drawn in bulk."""
+        out: list[int] = []
+        for z in self._mixed_blocks(count):
+            # the top lane has no next lane, so its bits 64-127 are zero and
+            # a block fits in 16 * _LANES bytes; the odd words hold the next
+            # lanes' low bits and are dropped
+            out += _LANE_WORDS.unpack(z.to_bytes(16 * _LANES, "little"))[::2]
+        del out[count:]
+        return out
 
     def _draws_below(self, count: int, p: float | Fraction) -> list[int]:
         """The indices k < count for which the k-th call of `random()` would
@@ -87,31 +125,26 @@ class SplitMix64:
         Fraction. A lane holding u + 2**64 - T carries into bit 64 exactly
         when u >= T.
 
-        The lane states are one int, stepped from block to block by adding
-        _STEP and masking, so a block costs no product with the state. After
-        the last mix step each lane's bits 64-96 are zero and bits 97-127 hold
-        the next lane's low bits, so adding the offset carries into bit 64 and
-        no further: bits 97-127 never reach bit 64. Hence the carry bits of a
-        block, compared once with _CARRIES, tell whether every lane missed,
-        and such a block skips the per-lane extraction; at p = 3/800 that is
-        (1 - p)**_LANES, about 38% of the blocks. A block that hits reads
-        its hits off the carries XOR _CARRIES, whose set bits are the bits
-        128i + 64 of the lanes i that hit: one bit_length() per hit when a
-        block expects at most _SCAN_HITS hits (_LANES * p of them; a block
-        that hits at p = 3/800 holds 1.6 on average), else one byte read of
-        all the lanes.
+        Each block of `_mixed_blocks` leaves bits 64-96 of every lane zero
+        and the next lane's low bits in bits 97-127, so adding the offset
+        carries into bit 64 and no further: bits 97-127 never reach bit 64.
+        Hence the carry bits of a block, compared once with _CARRIES, tell
+        whether every lane missed, and such a block skips the per-lane
+        extraction; at p = 3/800 that is (1 - p)**_LANES, about 38% of the
+        blocks. A block that hits reads its hits off the carries XOR
+        _CARRIES, whose set bits are the bits 128i + 64 of the lanes i that
+        hit: one bit_length() per hit when a block expects at most
+        _SCAN_HITS hits (_LANES * p of them; a block that hits at p = 3/800
+        holds 1.6 on average), else one byte read of all the lanes.
         """
         limit = math.ceil(Fraction(p) * (1 << 53)) << 11
         offset = _ONES * ((1 << 64) - limit)
-        lanes = (_ONES * self._state + _RAMP) & _LANE_MASK
         hits: list[int] = []
         scan = _LANES * limit <= _SCAN_HITS << 64  # hits a block expects, at most _SCAN_HITS
-        for base in range(0, count, _LANES):
-            z = ((lanes ^ (lanes >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
-            z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
-            # z >> 31 leaves the next lane's low bits in bits 97-127 of each
-            # lane, above the carry bit that is kept, so no mask is needed
-            z = ((z ^ (z >> 31)) + offset) & _CARRIES
+        for base, z in zip(range(0, count, _LANES), self._mixed_blocks(count)):
+            # bits 97-127 of each lane lie above the carry bit that is kept,
+            # so no mask is needed
+            z = (z + offset) & _CARRIES
             if z != _CARRIES:
                 z ^= _CARRIES  # bit 128i + 64 is set when lane i hits
                 if scan:
@@ -128,8 +161,6 @@ class SplitMix64:
                     # byte 16i + 8 holds lane i's bit 64
                     hits += compress(range(base, count),
                                      z.to_bytes(16 * _LANES, "little")[8::16])
-            lanes = (lanes + _STEP) & _LANE_MASK
-        self._state = (self._state + count * _GAMMA) & _MASK64
         return hits
 
 
@@ -180,11 +211,8 @@ def gen_interval_model(n: int, seed: int) -> IntervalModel:
         raise ValueError("need at least one interval")
     rng = SplitMix64(seed)
     vals = rng.sample_without_replacement(4 * n, 2 * n)
-    pairs = []
-    for i in range(n):
-        a, b = vals[2 * i], vals[2 * i + 1]
-        pairs.append((min(a, b), max(a, b)))
-    return canonicalize_intervals(IntervalModel(tuple(pairs)))[0]
+    pairs = tuple((a, b) if a < b else (b, a) for a, b in zip(vals[::2], vals[1::2]))
+    return canonicalize_intervals(IntervalModel(pairs))[0]
 
 
 def gen_split_graph(p_clique: int, q_ind: int, density: float,

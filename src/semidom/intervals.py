@@ -80,14 +80,18 @@ def canonicalize_intervals(m: IntervalModel) -> tuple[IntervalModel, tuple[int, 
     index. Event ranks become the new endpoints. Returns the model sorted by
     left endpoint, and `ids`, where `ids[pos]` is the id in `m` of the
     interval at position `pos`.
+
+    Event e < n is interval e's left endpoint and event n + k interval k's
+    right one, so listing the events in order of e already orders them by
+    (kind, index). Python's sort is stable, so sorting the events by value
+    alone keeps that order among equal values, giving the (value, kind,
+    index) order without building a tuple per event.
     """
-    events = []
-    for k, (a, b) in enumerate(m.intervals):
-        events.append((a, 0, k))  # left endpoint
-        events.append((b, 1, k))  # right endpoint
-    events.sort()
-    new = [[0, 0] for _ in range(m.n)]
-    for rank, (_, kind, k) in enumerate(events):
-        new[k][kind] = rank
-    ids = tuple(k for _, kind, k in events if kind == 0)
-    return IntervalModel(tuple((new[k][0], new[k][1]) for k in ids)), ids
+    n = m.n
+    values = [a for a, _ in m.intervals] + [b for _, b in m.intervals]
+    events = sorted(range(2 * n), key=values.__getitem__)
+    rank = [0] * (2 * n)
+    for r, e in enumerate(events):
+        rank[e] = r
+    ids = tuple(e for e in events if e < n)
+    return IntervalModel(tuple((rank[k], rank[n + k]) for k in ids)), ids

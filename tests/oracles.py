@@ -14,6 +14,7 @@ from fractions import Fraction
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_named
 from semidom.graph import Graph
+from semidom.intervals import IntervalModel
 from semidom.reductions import GadgetKind, build_gadget
 
 INF = float("inf")
@@ -416,6 +417,47 @@ def ref_intersection_graph(m):
             if ai <= bj and aj <= bi:
                 edges.append((i, j))
     return Graph(len(ivs), edges)
+
+
+def ref_canonicalize_intervals(m):
+    """The tuple-sort canonicalization, the differential reference for
+    `intervals.canonicalize_intervals`: one (value, kind, index) event per
+    endpoint, kind 0 for a left endpoint and 1 for a right one, sorted as
+    tuples; event ranks become the new endpoints."""
+    events = []
+    for k, (a, b) in enumerate(m.intervals):
+        events.append((a, 0, k))
+        events.append((b, 1, k))
+    events.sort()
+    new = [[0, 0] for _ in range(m.n)]
+    for rank, (_, kind, k) in enumerate(events):
+        new[k][kind] = rank
+    ids = tuple(k for _, kind, k in events if kind == 0)
+    return IntervalModel(tuple((new[k][0], new[k][1]) for k in ids)), ids
+
+
+def ref_sample_without_replacement(rng, bound, k):
+    """The scalar partial Fisher-Yates, the differential reference for
+    `SplitMix64.sample_without_replacement`: swap i draws one
+    `rng.randrange(bound - i)`."""
+    if k < 0:
+        raise ValueError("sample size must be nonnegative")
+    if k > bound:
+        raise ValueError("sample larger than population")
+    pool = list(range(bound))
+    for i in range(k):
+        j = i + rng.randrange(bound - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def ref_gen_interval_model(n, seed):
+    """`generators.gen_interval_model` from the scalar sample and the
+    tuple-sort canonicalization."""
+    vals = ref_sample_without_replacement(SplitMix64(seed), 4 * n, 2 * n)
+    pairs = [(min(vals[2 * i], vals[2 * i + 1]), max(vals[2 * i], vals[2 * i + 1]))
+             for i in range(n)]
+    return ref_canonicalize_intervals(IntervalModel(tuple(pairs)))[0]
 
 
 def ref_gen_connected_graph(n, p, seed):

@@ -430,6 +430,15 @@ class TestInProcess:
         assert code == 1 and doc["kind"] == "invalid-input"
         assert "limit of 1000000" in doc["error"]
 
+    def test_negative_interval_count_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text("-3\n")
+        code = cli.main(["solve", "--algo", "interval", "--format", "intervals",
+                         "--input", str(f)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc == {"error": "interval count must be nonnegative, got -3",
+                                     "kind": "invalid-input"}
+
     def test_huge_exponent_endpoint_exits_1(self, tmp_path, capsys):
         f = tmp_path / "m.txt"
         f.write_text("2\n0 1e4000000\n1 3\n")
@@ -742,3 +751,14 @@ class TestInProcess:
         assert code == 0 and (doc["n"], doc["m"]) == (800, 1208)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "5920e6ead6f653410b8d6913a38f25935a5e266baf3fff5db972e5933eb2b950")
+
+    def test_gen_intervals_is_pinned(self, tmp_path, capsys):
+        # 10^5 intervals bit for bit: 782 blocks of bulk draws feed the
+        # sample, then canonicalization, through the interval writer
+        out = tmp_path / "m.txt"
+        code = cli.main(["gen", "--family", "intervals", "--size", "100000",
+                         "--seed", "1", "--output", str(out)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and (doc["n"], doc["m"]) == (100000, 3341991392)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e1ea7753204cf5e8425534c8f491e95b1a76ef84e444a637ce2663caf85ce90e")

@@ -129,6 +129,12 @@ class TestIntervals:
         with pytest.raises(ValueError, match=r"^expected header 'n', got '2 3'$"):
             parse_intervals("2 3\n0 1\n1 2\n")
 
+    def test_negative_header(self):
+        # refused as a count, as the edge-list header's n is, not as a
+        # mismatch with the number of lines
+        with pytest.raises(ValueError, match=r"^interval count must be nonnegative, got -3$"):
+            parse_intervals("-3\n")
+
     def test_malformed_interval_line(self):
         with pytest.raises(ValueError, match=r"^malformed interval line: '0 1 2'$"):
             parse_intervals("1\n0 1 2\n")

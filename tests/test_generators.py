@@ -48,9 +48,21 @@ class TestSplitMix64:
             rng.sample_without_replacement(10, 11)
         assert rng.sample_without_replacement(10, 0) == []
 
+    def test_sample_matches_scalar_reference(self):
+        # k = 0, k = bound, and gen_interval_model's (4n, 2n) across blocks
+        L = generators._LANES
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            for bound, k in ((0, 0), (10, 0), (1, 1), (L + 1, L + 1), (5, 5),
+                             (4, 2), (4 * 7, 2 * 7), (4 * L, 2 * L), (4 * 1000, 2 * 1000)):
+                bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+                assert bulk.sample_without_replacement(bound, k) == \
+                    oracles.ref_sample_without_replacement(scalar, bound, k), (seed, bound, k)
+                assert bulk.next_u64() == scalar.next_u64(), (seed, bound, k)
+
 
 class TestBulkDraws:
-    """`SplitMix64._draws_below` against the scalar stream it replaces."""
+    """`SplitMix64._draws_below` and `_next_u64s` against the scalar stream
+    they replace."""
 
     SEEDS = (0, 1, 2**63, 2**64 - 1)  # the last wraps the state at once
     L = generators._LANES
@@ -67,6 +79,14 @@ class TestBulkDraws:
                     assert got == [k for k in range(count) if scalar.random() < p], \
                         (seed, count, p)
                     assert bulk.next_u64() == scalar.next_u64(), (seed, count, p)
+
+    def test_next_u64s_matches_scalar_draws(self):
+        for seed in self.SEEDS:
+            for count in (0, 1, self.L - 1, self.L, self.L + 1, 40 * self.L + 3):
+                bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+                assert bulk._next_u64s(count) == [scalar.next_u64() for _ in range(count)], \
+                    (seed, count)
+                assert bulk.next_u64() == scalar.next_u64(), (seed, count)
 
     def test_blocks_on_both_sides_of_the_scan_threshold(self, monkeypatch):
         # draws that expect at most _SCAN_HITS hits a block (p <= t / L) are
@@ -200,6 +220,13 @@ class TestGenIntervalModel:
 
     def test_determinism(self):
         assert gen_interval_model(12, 3).intervals == gen_interval_model(12, 3).intervals
+
+    def test_matches_scalar_reference(self):
+        # sizes whose 2n draws end inside, at and just past a block
+        for n in (1, 2, 3, 64, 127, 128, 129, 500):
+            for seed in (0, 5, 2**64 - 1):
+                assert gen_interval_model(n, seed) == oracles.ref_gen_interval_model(n, seed), \
+                    (n, seed)
 
     def test_output_is_canonical(self):
         rng = SplitMix64(66)

@@ -509,7 +509,29 @@ class TestIsConnected:
             assert c == [u for u in range(g.n) if bfs_distance(g, c[0], u) < math.inf]
 
 
+@st.composite
+def tied_models(draw):
+    """At most 30 intervals whose ends come mostly from the halves -3..3,
+    each written as an int, a Fraction or a float, so equal values, touching
+    ends and identical intervals are common; some ends are any non-NaN
+    float, infinities included."""
+    half = st.integers(-6, 6).flatmap(lambda h: st.sampled_from(
+        [Fraction(h, 2), h / 2] + ([h // 2] if h % 2 == 0 else [])))
+    end = st.one_of(half, half, half, st.floats(allow_nan=False))
+    pair = st.tuples(end, end).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair.map(lambda p: p if p[0] < p[1] else p[::-1]), max_size=30))
+    return IntervalModel(tuple(pairs))
+
+
 class TestCanonicalize:
+    @given(st.one_of(tied_models(),
+                     st.builds(gen_interval_model, st.integers(1, 30),
+                               st.integers(0, 2**64 - 1))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_tuple_sort_reference(self, m):
+        # the stable value-only sort gives the (value, kind, index) order
+        assert canonicalize_intervals(m) == oracles.ref_canonicalize_intervals(m)
+
     def test_already_distinct_keeps_overlap(self):
         m = IntervalModel(((1, 4), (3, 6)))
         c, ids = canonicalize_intervals(m)
