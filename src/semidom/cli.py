@@ -46,20 +46,22 @@ GADGET_KINDS = ("gp4", "bipartite", "split", "ln", "apx")
 DEFAULT_MAX_NODES = 250_000
 
 # most edges of a graph the CLI builds rather than reads, each refused
-# before it is built. Just under it (one run each, CPython 3.11.7, shared
-# 2-core Xeon): `solve --algo exact|approx` on 4472 identical intervals
-# takes 3.4-5.0 s and 486 MB; `reduce --kind split`, whose clique on the
-# source's n vertices plus two has C(n + 2, 2) edges, takes 3.5 s and
-# 457 MB on a 4470-vertex star; `gen --family complete --size 4472` takes
-# 3.1 s and 440 MB (`gen --family split` caps its clique alike). `gen
-# --family gp4|random` is refused when the drawn graph's expected edges,
-# p * C(n, 2), are over it
+# before it is built. Just under it (one run each unless a range is given,
+# CPython 3.11.7, shared 2-core Xeon): `solve --algo exact|approx` on 4472
+# identical intervals takes 3.4-5.0 s and 486 MB; `reduce --kind split`,
+# whose clique on the source's n vertices plus two has C(n + 2, 2) edges,
+# takes 2.8 s and 457 MB on a 4470-vertex star; `gen --family complete
+# --size 4472` takes 2.9 s and 440 MB, `gen --family split --clique 4472
+# --ind 500 --density 0` 3.0-3.8 s and 441 MB, and `gen --family gp4
+# --size 6325` 9.2-10.5 s and 894 MB (BENCH_gen.json, gadget_rows). `gen
+# --family gp4|random|split` is refused when the drawn graph's expected
+# edges, p * C(n, 2) or, for split, C(c, 2) + density * c * q, are over it
 MAX_BUILT_EDGES = 10_000_000
 
-# most vertex pairs `gen --family random` draws for, one draw per pair
-# whatever --p. At --p 0.0003 (one run each, as above): 2.5e7 draws
-# (--size 7071) took 1.65 s, 5e7 (--size 10000) 3.44 s and 1e8
-# (--size 14142) 7.84 s, at 17-21 MB
+# most vertex pairs `gen --family random|split` draws for, one draw per
+# pair whatever --p or --density. At --p 0.0003 (one run each, as above):
+# 2.5e7 draws (--size 7071) took 1.65 s, 5e7 (--size 10000) 3.44 s and
+# 1e8 (--size 14142) 7.84 s, at 17-21 MB
 MAX_PAIR_DRAWS = 50_000_000
 
 
@@ -167,17 +169,26 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_reduce(args) -> tuple[dict, int]:
     from pathlib import Path
-    from .reductions import GadgetKind, build_gadget
+    from .formats import _MAX_VERTICES
+    from .reductions import GadgetKind, _gadget_size, build_gadget
     text = _read(args.input)
-    if args.kind == "split":
+    kind = GadgetKind[args.kind.upper()]
+    # both caps are judged from the header, before any edge line is parsed,
+    # so solve can read back every edge list that passes them
+    n, m = edgelist_header(text)
+    h_n = _gadget_size(kind, n, m)
+    if h_n > _MAX_VERTICES:
+        raise SizeCapError(f"--kind {args.kind} would write {h_n} vertices, more "
+                           f"than the edge-list limit of {_MAX_VERTICES}")
+    if kind is GadgetKind.SPLIT:
         # the gadget joins the source's vertices (as themselves or their y
         # copies), s and w in one clique; the other gadgets are linear in n + m
-        m = _clique_edges(edgelist_header(text)[0] + 2)
-        if m > MAX_BUILT_EDGES:
-            raise SizeCapError(f"split gadget too large: its clique has {m} edges "
+        clique = _clique_edges(n + 2)
+        if clique > MAX_BUILT_EDGES:
+            raise SizeCapError(f"split gadget too large: its clique has {clique} edges "
                                f"(cap m<={MAX_BUILT_EDGES})")
     g, partition = _load_gadget_source(args, text)
-    go = build_gadget(g, GadgetKind[args.kind.upper()], partition)
+    go = build_gadget(g, kind, partition)
     out = Path(args.output)
     out.write_text(write_edgelist(go.h), encoding="utf-8")
     roles_path = Path(str(out) + ".roles.json")
@@ -261,10 +272,11 @@ def _check_gen_size(args) -> None:
     """Raise SizeCapError, before anything is generated, for an edge list
     that `solve` could not read (more vertices than the edge-list header
     allows) or whose clique has more than MAX_BUILT_EDGES edges, for a
-    random graph (gp4's base included) expected to draw more edges than
-    that or, for random, with more than MAX_PAIR_DRAWS vertex pairs, and
-    for more intervals than that vertex limit: the interval generator lists
-    all 4n candidate endpoints first, in time and memory linear in n."""
+    random graph (gp4's base included) or split graph expected to have more
+    edges than that or, for random and split, drawing for more than
+    MAX_PAIR_DRAWS vertex pairs, and for more intervals than that vertex
+    limit: the interval generator lists all 4n candidate endpoints first,
+    in time and memory linear in n."""
     from .formats import _MAX_VERTICES
     if args.family == "intervals":
         if args.size > _MAX_VERTICES:
@@ -278,16 +290,22 @@ def _check_gen_size(args) -> None:
     if m > MAX_BUILT_EDGES:
         raise SizeCapError(f"--family {args.family} would write a clique of {m} "
                            f"edges (cap m<={MAX_BUILT_EDGES})")
-    if args.family in ("gp4", "random"):
-        # one draw per vertex pair of the random graph (gp4's base), each an
-        # edge with probability p; the generator judges a p out of range
-        draws, p = _clique_edges(args.size), 0.5 if args.family == "gp4" else args.p
-        if args.family == "random" and draws > MAX_PAIR_DRAWS:
-            raise SizeCapError(f"--family random would make {draws} pair draws "
+    if args.family in ("gp4", "random", "split"):
+        # one draw per vertex pair of the random graph (gp4's base), or per
+        # (clique, independent) pair of split, each an edge with probability
+        # p; the generator judges a p out of range
+        draws, p, name = _clique_edges(args.size), args.p, "p"
+        if args.family == "gp4":
+            p = 0.5
+        elif args.family == "split":
+            draws, p, name = args.clique * args.ind, args.density, "density"
+        if args.family != "gp4" and draws > MAX_PAIR_DRAWS:
+            raise SizeCapError(f"--family {args.family} would make {draws} pair draws "
                                f"(cap {MAX_PAIR_DRAWS})")
-        if 0 <= p <= 1 and p * draws > MAX_BUILT_EDGES:
+        if 0 <= p <= 1 and m + p * draws > MAX_BUILT_EDGES:
             raise SizeCapError(f"--family {args.family} would draw about "
-                               f"{round(p * draws)} edges at p={p} (cap m<={MAX_BUILT_EDGES})")
+                               f"{round(m + p * draws)} edges at {name}={p} "
+                               f"(cap m<={MAX_BUILT_EDGES})")
 
 
 def _cmd_gen(args) -> tuple[dict, int]:

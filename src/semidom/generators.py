@@ -228,17 +228,24 @@ def gen_split_graph(p_clique: int, q_ind: int, density: float,
         raise ValueError(f"density out of range: {density}")
     rng = SplitMix64(seed)
     n = p_clique + q_ind
-    edges = [(u, v) for u in range(p_clique) for v in range(u + 1, p_clique)]
-    # one draw per pair (u, w), in order of w and then of u
-    attached = set()
+    # the clique's rows as slices of one id list, sharing its int objects
+    ids = list(range(n))
+    rows = [ids[:v] + ids[v + 1:p_clique] for v in range(p_clique)] + [[] for _ in range(q_ind)]
+    # one draw per pair (u, w), in order of w and then of u, so both rows
+    # of each drawn edge stay sorted
     for k in rng._draws_below(p_clique * q_ind, density):
         w, u = divmod(k, p_clique)
-        edges.append((u, p_clique + w))
-        attached.add(p_clique + w)
+        rows[u].append(ids[p_clique + w])
+        rows[p_clique + w].append(ids[u])
     for w in range(p_clique, n):
-        if w not in attached:
-            edges.append((rng.randrange(p_clique), w))
-    g = Graph(n, sorted(edges))
+        if not rows[w]:
+            rows[w].append(rng.randrange(p_clique))
+            rows[rows[w][0]].append(ids[w])
+    # a clique row is two sorted runs, its clique ids and drawn ends, then
+    # its attachments, so one sort merges them (insort would move the drawn
+    # ends above each attachment, O(q^2) at p = 1)
+    rows[:p_clique] = map(sorted, rows[:p_clique])
+    g = Graph(n, _rows=rows)
     part = SplitPartition(clique=tuple(range(p_clique)),
                           independent=tuple(range(p_clique, n)))
     return g, part

@@ -154,7 +154,6 @@ def build_gadget(g: Graph, kind: GadgetKind,
     """Construct the gadget graph H of the given kind from g."""
     _require_connected(g)
     n = g.n
-    edges = g.sorted_edges()
     layout = _LAYOUT.get(kind)
     if layout is None:
         raise ValueError(f"unknown gadget kind: {kind}")
@@ -174,18 +173,24 @@ def build_gadget(g: Graph, kind: GadgetKind,
     for tag in layout.singles:
         roles[len(roles)] = (tag, None)
     ids = {("v" if tag == "original" else tag, i): v for v, (tag, i) in roles.items()}
-    he = set() if kind is GadgetKind.APX else set(edges)
-    for i in range(n):
-        for pair in layout.edges:
-            ends = tuple(ids.get((tag, i), ids.get((tag, None))) for tag in pair)
-            if None not in ends:
-                he.add(ends)
+    # H's rows start as copies of the source's (APX: empty, its source edges
+    # become edge vertices, in sorted_edges order); each is sorted once, last
+    rows = [[] if kind is GadgetKind.APX else list(row) for row in g._adj]
+    rows += ([] for _ in range(len(roles) - n))
     if kind is GadgetKind.APX:
-        for idx, (a, b) in enumerate(edges):
-            ev = len(roles)
+        pairs = ((a, b) for a, row in enumerate(g._adj) for b in row if a < b)
+        for idx, (a, b) in enumerate(pairs):
+            ev = len(rows)
             roles[ev] = ("edge", idx)
-            he.update([(a, ev), (b, ev)])
-    h = Graph(len(roles), he)
+            rows[a].append(ev)
+            rows[b].append(ev)
+            rows.append([a, b])
+    for pair in layout.edges:  # a wire between two singles is made once
+        for i in range(1 if set(pair) <= set(layout.singles) else n):
+            a, b = (ids.get((tag, i), ids.get((tag, None))) for tag in pair)
+            if a is not None and b is not None:
+                rows[a].append(b)
+                rows[b].append(a)
     if kind is GadgetKind.SPLIT:
         # the clique (x's origins) enlarged by every y_j, s and w, written
         # into its members' rows, which share the clique list's int objects;
@@ -194,12 +199,11 @@ def build_gadget(g: Graph, kind: GadgetKind,
         clique = sorted(list(origins["x"]) + [v for v, (tag, _) in roles.items()
                                               if tag in ("y", "s", "w")])
         inside = set(clique)
-        rows = list(h._adj)
         for k, v in enumerate(clique):
-            rows[v] = sorted([u for u in rows[v] if u not in inside]
-                             + clique[:k] + clique[k + 1:])
-        h = Graph(len(roles), _rows=rows)
-    return GadgetOutput(h=h, kind=kind, roles=roles, source=g)
+            rows[v] = [u for u in rows[v] if u not in inside] + clique[:k] + clique[k + 1:]
+    for row in rows:
+        row.sort()
+    return GadgetOutput(h=Graph(len(roles), _rows=rows), kind=kind, roles=roles, source=g)
 
 
 def extend_solution(go: GadgetOutput, d_g) -> tuple[int, ...]:
@@ -285,6 +289,15 @@ def min_vertex_cover(g: Graph, max_nodes: int | None = None) -> tuple[int, ...]:
     h = Graph(len(ends) + len(edges), [(pos[a], pos[b]) for a, b in edges]
               + [(pos[v], len(ends) + j) for j, e in enumerate(edges) for v in e])
     return tuple(ends[i] for i in exact_min(h, DominationKind.DOMINATING, max_nodes))
+
+
+def _gadget_size(kind: GadgetKind, n: int, m: int) -> int:
+    """The vertex count of H for a source of n vertices and m edges, found
+    without building it: the source's vertices, n per block (SPLIT's x and
+    y blocks share them), one per single and, for APX, one per edge."""
+    layout = _LAYOUT[kind]
+    blocks = 1 if kind is GadgetKind.SPLIT else len(layout.blocks)
+    return (1 + blocks) * n + len(layout.singles) + (m if kind is GadgetKind.APX else 0)
 
 
 def _check_source_size(kind: GadgetKind, n: int) -> None:

@@ -15,7 +15,7 @@ from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_named
 from semidom.graph import Graph
 from semidom.intervals import IntervalModel
-from semidom.reductions import GadgetKind, build_gadget
+from semidom.reductions import _LAYOUT, GadgetKind, GadgetOutput, build_gadget
 
 INF = float("inf")
 
@@ -523,6 +523,69 @@ def ref_gen_split_graph(p_clique, q_ind, density, seed):
         if not any((u, w) in edges for u in range(p_clique)):
             edges.add((rng.randrange(p_clique), w))
     return sorted(edges)
+
+
+def ref_build_gadget(g, kind, partition=None):
+    """The edge-tuple gadget builder, the differential reference for
+    `reductions.build_gadget` on the same layout table: the source's edges,
+    every wire and, for APX, both edges of each edge vertex go into a set
+    of edge tuples, which the validating `Graph(n, edges)` sorts into rows;
+    the SPLIT clique is then written into its members' rows. Returns the
+    `GadgetOutput`. Expects a connected source and a valid partition, and
+    raises nothing of its own.
+    """
+    n = g.n
+    edges = g.sorted_edges()
+    layout = _LAYOUT[kind]
+    origins = dict.fromkeys(layout.blocks, range(n))
+    if kind is GadgetKind.SPLIT:
+        origins = {"x": sorted(map(operator.index, partition.clique)),
+                   "y": sorted(map(operator.index, partition.independent))}
+    roles = {v: ("original", v) for v in range(n)}
+    for tag in layout.blocks:
+        for i in origins[tag]:
+            roles[len(roles)] = (tag, i)
+    for tag in layout.singles:
+        roles[len(roles)] = (tag, None)
+    ids = {("v" if tag == "original" else tag, i): v for v, (tag, i) in roles.items()}
+    he = set() if kind is GadgetKind.APX else set(edges)
+    for i in range(n):
+        for pair in layout.edges:
+            ends = tuple(ids.get((tag, i), ids.get((tag, None))) for tag in pair)
+            if None not in ends:
+                he.add(ends)
+    if kind is GadgetKind.APX:
+        for idx, (a, b) in enumerate(edges):
+            ev = len(roles)
+            roles[ev] = ("edge", idx)
+            he.update([(a, ev), (b, ev)])
+    h = Graph(len(roles), he)
+    if kind is GadgetKind.SPLIT:
+        clique = sorted(origins["x"] + [v for v, (tag, _) in roles.items()
+                                        if tag in ("y", "s", "w")])
+        inside = set(clique)
+        rows = list(h._adj)
+        for k, v in enumerate(clique):
+            rows[v] = sorted([u for u in rows[v] if u not in inside]
+                             + clique[:k] + clique[k + 1:])
+        h = Graph(len(roles), _rows=rows)
+    return GadgetOutput(h=h, kind=kind, roles=roles, source=g)
+
+
+def count_graphs(monkeypatch, module):
+    """Patch `module.Graph` with a subclass that logs each construction as
+    (edges, whether it was given rows); returns the log."""
+    built = []
+
+    class Counting(Graph):
+        __slots__ = ()
+
+        def __init__(self, n, edges=(), *, _rows=None):
+            built.append((edges, _rows is not None))
+            super().__init__(n, edges, _rows=_rows)
+
+    monkeypatch.setattr(module, "Graph", Counting)
+    return built
 
 
 def _path_gadget(kind):

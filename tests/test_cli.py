@@ -11,9 +11,9 @@ import pytest
 
 import semidom
 from semidom import cli, intervals
-from semidom.formats import write_edgelist
+from semidom.formats import write_edgelist, write_partition
 from semidom.generators import gen_connected_graph, gen_interval_model, gen_named
-from semidom.graph import Graph
+from semidom.graph import Graph, SplitPartition
 from semidom.intervals import intersection_graph
 
 SOLVE_KEYS = {"algorithm", "n", "m", "size", "set", "verified", "elapsedMs", "extra"}
@@ -652,6 +652,64 @@ class TestInProcess:
         assert cli.main(reduce) == 4
         assert "15 edges (cap m<=10)" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("kind, n, m, h_n", [
+        # the first source size, per kind, whose gadget has more vertices than
+        # an edge-list header allows: a path's n and m, and H's vertex count
+        ("gp4", 200001, 200000, 1000005),  # 5n
+        ("bipartite", 166667, 166666, 1000002),  # 6n
+        ("split", 499998, 499997, 1000001),  # 2n + 5
+        ("ln", 500000, 499999, 1000002),  # 2n + 2
+        ("apx", 142858, 142857, 1000005),  # 6n + m
+        ("gp4", 300000, 299999, 1500000),
+    ])
+    def test_reduce_refuses_a_gadget_solve_could_not_read(self, tmp_path, capsys,
+                                                          monkeypatch, kind, n, m, h_n):
+        def build(*args):
+            raise AssertionError("the gadget was built")
+        monkeypatch.setattr("semidom.reductions.build_gadget", build)
+        # the edge line is malformed and the partition file missing: the cap
+        # comes first
+        g, h = tmp_path / "g.txt", tmp_path / "h.txt"
+        g.write_text(f"{n} {m}\n0 x\n")
+        assert cli.main(["reduce", "--kind", kind, "--input", str(g), "--partition",
+                         str(tmp_path / "none.partition"), "--output", str(h)]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": f"--kind {kind} would write {h_n} vertices, more than the "
+                     "edge-list limit of 1000000",
+            "kind": "size-cap"}
+        assert not h.exists()
+
+    @pytest.mark.parametrize("kind", cli.GADGET_KINDS)
+    def test_reduce_vertex_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch,
+                                                   kind):
+        from semidom import formats
+        from semidom.reductions import GadgetKind, build_gadget
+        source = gen_named("path", 4)  # a split graph too
+        part = SplitPartition((1, 2), (0, 3))
+        h_n = build_gadget(source, GadgetKind[kind.upper()], part).h.n
+        g, p, h = tmp_path / "g.txt", tmp_path / "g.partition", tmp_path / "h.txt"
+        g.write_text(write_edgelist(source))
+        p.write_text(write_partition(part))
+        reduce = ["reduce", "--kind", kind, "--input", str(g), "--partition", str(p),
+                  "--output", str(h)]
+        monkeypatch.setattr(formats, "_MAX_VERTICES", h_n)
+        assert cli.main(reduce) == 0
+        assert json.loads(capsys.readouterr().out)["extra"]["h_n"] == h_n
+        # solve reads back what reduce writes
+        assert cli.main(["solve", "--algo", "approx", "--input", str(h)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == h_n
+        h.unlink()
+
+        def build(*args):
+            raise AssertionError("the gadget was built")
+        monkeypatch.setattr("semidom.reductions.build_gadget", build)
+        monkeypatch.setattr(formats, "_MAX_VERTICES", h_n - 1)
+        assert cli.main(reduce) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == (
+            f"--kind {kind} would write {h_n} vertices, more than the edge-list "
+            f"limit of {h_n - 1}")
+        assert not h.exists()
+
     @pytest.mark.parametrize("argv, error", [
         (["path", "--size", "1000001"],
          "--family path would write 1000001 vertices, more than the edge-list limit "
@@ -692,12 +750,25 @@ class TestInProcess:
          "--family random would make 50005000 pair draws (cap 50000000)"),
         (["random", "--size", "8166"],
          "--family random would draw about 10001308 edges at p=0.3 (cap m<=10000000)"),
+        # split draws once per (clique, independent) pair, and its clique's
+        # C(c, 2) edges count with the density * c * q it expects to draw
+        (["split", "--clique", "100", "--ind", "500001", "--density", "0"],
+         "--family split would make 50000100 pair draws (cap 50000000)"),
+        (["split", "--clique", "1000", "--ind", "999000", "--density", "1"],
+         "--family split would make 999000000 pair draws (cap 50000000)"),
+        (["split", "--clique", "100", "--ind", "200000", "--density", "1"],
+         "--family split would draw about 20004950 edges at density=1.0 (cap m<=10000000)"),
+        # 7,998,000 + 2,004,000; --ind 1001 expects exactly 10^7
+        (["split", "--clique", "4000", "--ind", "1002"],
+         "--family split would draw about 10002000 edges at density=0.5 (cap m<=10000000)"),
+        (["split", "--clique", "4472", "--ind", "500"],
+         "--family split would draw about 11115156 edges at density=0.5 (cap m<=10000000)"),
     ])
     def test_gen_refuses_a_drawn_graph_over_its_caps_before_generating(
             self, tmp_path, capsys, monkeypatch, argv, error):
         def generate(*args):
             raise AssertionError("the graph was generated")
-        for name in ("gen_named", "gen_connected_graph"):
+        for name in ("gen_named", "gen_connected_graph", "gen_split_graph"):
             monkeypatch.setattr(f"semidom.generators.{name}", generate)
         out = tmp_path / "g.txt"
         assert cli.main(["gen", "--family", *argv, "--output", str(out)]) == 4
@@ -716,7 +787,13 @@ class TestInProcess:
                            (["random", "--size", "6", "--p", "0.6"], 0),  # 9 of 15
                            (["random", "--size", "6", "--p", "0.75"], 4),  # 11.25
                            # a p out of range is the generator's error
-                           (["random", "--size", "6", "--p", "2"], 1)):
+                           (["random", "--size", "6", "--p", "2"], 1),
+                           (["split", "--clique", "3", "--ind", "7", "--density", "0"], 0),
+                           (["split", "--clique", "3", "--ind", "8", "--density", "0"], 4),
+                           # C(4, 2) = 6 clique edges and 0.25 * 16 = 4 drawn
+                           (["split", "--clique", "4", "--ind", "4", "--density", "0.25"], 0),
+                           (["split", "--clique", "4", "--ind", "5", "--density", "0.25"], 4),
+                           (["split", "--clique", "2", "--ind", "2", "--density", "2"], 1)):
             assert cli.main(["gen", "--family", *argv, "--output", out]) == code, argv
             capsys.readouterr()
 
@@ -728,8 +805,10 @@ class TestInProcess:
         for argv, code in ((["path", "--size", "10"], 0), (["path", "--size", "11"], 4),
                            (["gp4", "--size", "2"], 0), (["gp4", "--size", "3"], 4),
                            (["complete", "--size", "5"], 0), (["complete", "--size", "6"], 4),
-                           (["split", "--clique", "5", "--ind", "5"], 0),
-                           (["split", "--clique", "5", "--ind", "6"], 4),
+                           # at density 0 the expected edges are the
+                           # clique's C(5, 2) = 10
+                           (["split", "--clique", "5", "--ind", "5", "--density", "0"], 0),
+                           (["split", "--clique", "5", "--ind", "6", "--density", "0"], 4),
                            (["intervals", "--size", "10"], 0),
                            (["intervals", "--size", "11"], 4)):
             assert cli.main(["gen", "--family", *argv, "--output", out]) == code, argv

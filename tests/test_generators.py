@@ -260,14 +260,23 @@ class TestGenSplitGraph:
         assert part.independent == ()
 
     def test_matches_draw_at_a_time_reference(self):
-        for p in (1, 2, 3, 7):
-            for q in (0, 1, 2, 5, 30):
-                for density in (0.0, 0.05, 0.5, 1.0):
-                    for seed in range(4):
-                        g, part = gen_split_graph(p, q, density, seed)
-                        assert g.sorted_edges() == oracles.ref_gen_split_graph(
-                            p, q, density, seed), (p, q, density, seed)
-                        assert part.clique == tuple(range(p))
+        cases = [(p, q, density) for p in (1, 2, 3, 7) for q in (0, 1, 2, 5, 30)
+                 for density in (0.0, 0.05, 0.5, 1.0)]
+        # q far above p: at density 0 every independent vertex is attached;
+        # at the low densities most are, each below ids drawn before it
+        cases += [(p, 400, density) for p in (1, 2, 5) for density in (0.0, 0.002, 0.02, 0.5)]
+        for p, q, density in cases:
+            for seed in range(4):
+                g, part = gen_split_graph(p, q, density, seed)
+                assert g.sorted_edges() == oracles.ref_gen_split_graph(
+                    p, q, density, seed), (p, q, density, seed)
+                assert all(list(row) == sorted(set(row)) for row in g._adj)
+                assert part.clique == tuple(range(p))
+
+    def test_one_graph_from_rows(self, monkeypatch):
+        built = oracles.count_graphs(monkeypatch, generators)
+        gen_split_graph(4, 30, 0.1, 3)
+        assert built == [((), True)]
 
     def test_argument_errors(self):
         for args, message in (((0, 1, .5, 0), r"clique part must be nonempty"),

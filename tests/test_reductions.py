@@ -4,12 +4,13 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semidom import reductions
 from semidom.domination import DominationKind, exact_min, verify
 from semidom.errors import InfeasibleError, SizeCapError
 from semidom.generators import (SplitMix64, gen_connected_graph, gen_named,
                                 gen_split_graph)
 from semidom.graph import Graph, SplitPartition, is_connected
-from semidom.reductions import (GadgetKind, build_gadget, check_reduction,
+from semidom.reductions import (GadgetKind, _gadget_size, build_gadget, check_reduction,
                                 extend_solution, extract_solution,
                                 min_vertex_cover)
 
@@ -227,6 +228,56 @@ class TestBuildGadget:
                        + go.vertices_with_tag("z"))
             SplitPartition(tuple(sorted(clique_h)),
                            tuple(sorted(indep_h))).validate(go.h)
+
+
+def assert_matches_reference(g, kind, partition=None):
+    go = build_gadget(g, kind, partition)
+    ref = oracles.ref_build_gadget(g, kind, partition)
+    assert list(go.roles.items()) == list(ref.roles.items()), (g, kind, partition)
+    assert go.h == ref.h, (g, kind, partition)
+    assert all(list(row) == sorted(set(row)) for row in go.h._adj), (g, kind)
+    assert _gadget_size(kind, g.n, g.m) == go.h.n
+
+
+def relabelled(g, part, rng):
+    """g and its split partition under a seeded random relabelling, so the
+    clique is not the first ids."""
+    perm = rng.sample_without_replacement(g.n, g.n)
+    return (Graph(g.n, [(perm[a], perm[b]) for a, b in g.sorted_edges()]),
+            SplitPartition(tuple(perm[v] for v in part.clique),
+                           tuple(perm[v] for v in part.independent)))
+
+
+class TestBuildGadgetAgainstReference:
+    @pytest.mark.parametrize("kind", [k for k in GadgetKind if k is not GadgetKind.SPLIT])
+    def test_seeded_sources(self, kind):
+        rng = SplitMix64(1005)
+        for n in range(2 if kind is GadgetKind.BIPARTITE else 1, 13):
+            for p in (0.1, 0.3, 0.6, 1.0):
+                assert_matches_reference(gen_connected_graph(n, p, rng.next_u64()), kind)
+
+    def test_seeded_split_sources(self):
+        rng = SplitMix64(1006)
+        # c = 1 is a one-vertex clique, q = 0 an empty independent part
+        for c in range(1, 8):
+            for q in range(0, 13 - c):
+                for density in (0.0, 0.3, 0.8):
+                    g, part = gen_split_graph(c, q, density, rng.next_u64())
+                    assert_matches_reference(g, GadgetKind.SPLIT, part)
+                    g, part = relabelled(g, part, rng)
+                    assert_matches_reference(g, GadgetKind.SPLIT, part)
+                    odd = SplitPartition(tuple(map(oracles.IndexOnly, reversed(part.clique))),
+                                         tuple(map(oracles.IndexOnly, part.independent)))
+                    assert_matches_reference(g, GadgetKind.SPLIT, odd)
+
+    @pytest.mark.parametrize("kind", list(GadgetKind))
+    def test_one_graph_per_build_from_rows(self, kind, monkeypatch):
+        g, part = gen_split_graph(3, 4, 0.5, 7)
+        built = oracles.count_graphs(monkeypatch, reductions)
+        go = build_gadget(g, kind, part)
+        assert built == [((), True)]
+        monkeypatch.undo()
+        assert go.h == oracles.ref_build_gadget(g, kind, part).h
 
 
 class TestExtendSolution:
