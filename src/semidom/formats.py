@@ -13,8 +13,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice
 
-from .graph import Graph, SplitPartition
+from .graph import Graph, SplitPartition, _raise_first_bad_edge
 from .intervals import IntervalModel
 
 
@@ -56,21 +57,57 @@ def edgelist_header(text: str) -> tuple[int, int]:
     return _edgelist_header(_data_lines(text))
 
 
+def _data_body(lines: Iterator[list[str]], expected: int, what: str, read) -> Iterator:
+    """`read(parts)` of each data line left, in order. A wrong line count is
+    raised before the ValueError of any line, so after a bad line the rest
+    are counted; the lines are still read only once."""
+    count = 0
+    try:
+        for count, parts in enumerate(lines, 1):
+            yield read(parts)
+    except ValueError:
+        count += sum(1 for _ in lines)
+        if count == expected:
+            raise
+    if count != expected:
+        raise ValueError(f"expected {expected} {what} lines, found {count}")
+
+
+def _edge(parts: list[str]) -> tuple[int, int]:
+    if len(parts) != 2:
+        raise ValueError(f"malformed edge line: {' '.join(parts)!r}")
+    u, v = int(parts[0]), int(parts[1])
+    if not u < v:
+        raise ValueError(f"edges must be written u v with u < v, got {u} {v}")
+    return u, v
+
+
 def parse_edgelist(text: str) -> Graph:
+    """The graph of an edge list, read in one pass straight into its
+    adjacency rows, which share one int object per vertex.
+
+    A file's first fault is reported in this order: the header, the line
+    count, the first bad line, a negative n, then the first edge out of
+    range or repeated. Only a fault found in the pass reads the text again.
+    """
     lines = _data_lines(text)
     n, m = _edgelist_header(lines)
-    body = list(lines)
-    if len(body) != m:
-        raise ValueError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    for parts in body:
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {' '.join(parts)!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not u < v:
-            raise ValueError(f"edges must be written u v with u < v, got {u} {v}")
-        edges.append((u, v))
-    return Graph(n, edges)
+    ids = list(range(n))
+    rows: list[list[int]] = [[] for _ in ids]
+    for u, v in _data_body(lines, m, "edge", _edge):
+        # checked before indexing, as a negative id would index from the
+        # end; an edge out of range is left out, and so shows in the count
+        if 0 <= u and v < n:
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    # fewer than 2m distinct row entries: an edge out of range or repeated
+    if sum(map(len, map(set, rows))) < 2 * m:
+        _raise_first_bad_edge(n, map(_edge, islice(_data_lines(text), 1, None)))
+    for row in rows:
+        row.sort()
+    return Graph(n, _rows=rows)
 
 
 def write_edgelist(g: Graph) -> str:
@@ -112,23 +149,26 @@ def _format_number(x) -> str:
     return str(Fraction(x))
 
 
+def _interval(parts: list[str]) -> tuple[int | Fraction, int | Fraction]:
+    if len(parts) != 2:
+        raise ValueError(f"malformed interval line: {' '.join(parts)!r}")
+    return _parse_number(parts[0]), _parse_number(parts[1])
+
+
 def parse_intervals(text: str) -> IntervalModel:
-    lines = list(_data_lines(text))
-    if not lines:
+    """The interval model of a file, read in one pass. A file's first fault
+    is reported in this order: the header, the line count, the first bad
+    line, then the first degenerate interval."""
+    lines = _data_lines(text)
+    head = next(lines, None)
+    if head is None:
         raise ValueError("empty interval file")
-    if len(lines[0]) != 1:
-        raise ValueError(f"expected header 'n', got {' '.join(lines[0])!r}")
-    n = int(lines[0][0])
+    if len(head) != 1:
+        raise ValueError(f"expected header 'n', got {' '.join(head)!r}")
+    n = int(head[0])
     if n < 0:
         raise ValueError(f"interval count must be nonnegative, got {n}")
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} interval lines, found {len(lines) - 1}")
-    pairs = []
-    for parts in lines[1:]:
-        if len(parts) != 2:
-            raise ValueError(f"malformed interval line: {' '.join(parts)!r}")
-        pairs.append((_parse_number(parts[0]), _parse_number(parts[1])))
-    return IntervalModel(tuple(pairs))
+    return IntervalModel(tuple(_data_body(lines, n, "interval", _interval)))
 
 
 def write_intervals(m: IntervalModel) -> str:

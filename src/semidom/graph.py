@@ -10,7 +10,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import combinations, islice
+from itertools import islice
 
 from ._record import Record
 
@@ -276,11 +276,22 @@ class SplitPartition(Record):
             raise ValueError("partition does not cover all vertices")
         k = len(self.clique)
         clique, independent = tuple(sorted(ids[:k])), tuple(sorted(ids[k:]))
-        for a, b in combinations(clique, 2):
-            if not g.has_edge(a, b):
+        # each member's sorted row, from its first later vertex on, must hold
+        # every later clique member and no later independent one; members
+        # are taken in order, so the first fault is the first clique pair in
+        # combinations order, or the first edge in sorted order
+        inside = bytearray(g.n)
+        for v in clique:
+            inside[v] = 1
+        for i, a in enumerate(clique):
+            row = g._adj[a]
+            if sum(map(inside.__getitem__, row[bisect_right(row, a):])) < k - 1 - i:
+                b = next(b for b in clique[i + 1:] if not g.has_edge(a, b))
                 raise ValueError(f"clique part misses edge ({a},{b})")
-        i = set(independent)
-        for u, v in g.sorted_edges():
-            if u in i and v in i:
+        for u in independent:
+            row = g._adj[u]
+            later = row[bisect_right(row, u):]
+            if not all(map(inside.__getitem__, later)):
+                v = next(v for v in later if not inside[v])
                 raise ValueError(f"independent part contains edge ({u},{v})")
         return SplitPartition(clique, independent)

@@ -10,7 +10,6 @@ graph, and sorts the intervals by left endpoint. A model is canonical when
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from ._record import Record
@@ -63,11 +62,17 @@ def intersection_edge_count(m: IntervalModel) -> int:
 
     Two closed intervals miss each other exactly when one ends before the
     other starts, and at most one of the two can. So each missing pair is
-    counted once, by interval i, as a left endpoint greater than b_i.
+    counted once, by interval i, as a left endpoint greater than b_i. One
+    merge of the sorted right ends against the sorted left ends counts them.
     """
     n = m.n
-    lefts = sorted(a for a, _ in m.intervals)
-    missing = sum(n - bisect_right(lefts, b) for _, b in m.intervals)
+    lefts = sorted([a for a, _ in m.intervals])
+    rights = sorted([b for _, b in m.intervals])
+    k = missing = 0
+    for b in rights:
+        while k < n and lefts[k] <= b:
+            k += 1
+        missing += n - k
     return n * (n - 1) // 2 - missing
 
 

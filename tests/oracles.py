@@ -11,6 +11,7 @@ import operator
 from collections import deque
 from fractions import Fraction
 
+from semidom import formats
 from semidom.errors import InfeasibleError
 from semidom.generators import SplitMix64, gen_named
 from semidom.graph import Graph
@@ -401,6 +402,92 @@ def ref_graph(n, edges):
         adj[a].append(b)
         adj[b].append(a)
     return len(seen), frozenset(seen), tuple(tuple(sorted(a)) for a in adj)
+
+
+def _ref_data_lines(text):
+    """The token lists of the lines that are neither blank nor a comment."""
+    lines = (line.strip() for line in text.splitlines())
+    return [line.split() for line in lines if line and not line.startswith("#")]
+
+
+def ref_parse_edgelist(text):
+    """The token-list parser, the differential reference for
+    `formats.parse_edgelist`: it lists every data line's tokens, checks the
+    header and the line count, turns each line into an edge tuple, and
+    hands the tuples to the validating `Graph(n, edges)`."""
+    lines = _ref_data_lines(text)
+    if not lines:
+        raise ValueError("empty edge-list file")
+    head, body = lines[0], lines[1:]
+    if len(head) != 2:
+        raise ValueError(f"expected header 'n m', got {' '.join(head)!r}")
+    n, m = int(head[0]), int(head[1])
+    if n > formats._MAX_VERTICES:
+        raise ValueError(f"edge list declares {n} vertices, more than the "
+                         f"limit of {formats._MAX_VERTICES}")
+    if len(body) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(body)}")
+    edges = []
+    for parts in body:
+        if len(parts) != 2:
+            raise ValueError(f"malformed edge line: {' '.join(parts)!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if not u < v:
+            raise ValueError(f"edges must be written u v with u < v, got {u} {v}")
+        edges.append((u, v))
+    return Graph(n, edges)
+
+
+def ref_parse_intervals(text):
+    """The token-list parser, the differential reference for
+    `formats.parse_intervals`: header, count, then each line in order."""
+    lines = _ref_data_lines(text)
+    if not lines:
+        raise ValueError("empty interval file")
+    if len(lines[0]) != 1:
+        raise ValueError(f"expected header 'n', got {' '.join(lines[0])!r}")
+    n = int(lines[0][0])
+    if n < 0:
+        raise ValueError(f"interval count must be nonnegative, got {n}")
+    if len(lines) - 1 != n:
+        raise ValueError(f"expected {n} interval lines, found {len(lines) - 1}")
+    pairs = []
+    for parts in lines[1:]:
+        if len(parts) != 2:
+            raise ValueError(f"malformed interval line: {' '.join(parts)!r}")
+        pairs.append((formats._parse_number(parts[0]), formats._parse_number(parts[1])))
+    return IntervalModel(tuple(pairs))
+
+
+def ref_validate_partition(part, g):
+    """The pair-by-pair check, the differential reference for
+    `SplitPartition.validate`: every clique pair in combinations order is
+    looked up with `has_edge`, then every edge in sorted order is tested
+    for two independent ends."""
+    def vertex_id(x):
+        try:
+            return operator.index(x)
+        except TypeError:
+            raise ValueError(f"vertex id {x!r} is not an integer") from None
+
+    ids = [vertex_id(v) for v in part.clique + part.independent]
+    seen = set()
+    for v in ids:
+        if v in seen:
+            raise ValueError(f"partition lists vertex {v} twice")
+        seen.add(v)
+    if seen != set(range(g.n)):
+        raise ValueError("partition does not cover all vertices")
+    k = len(part.clique)
+    clique, independent = tuple(sorted(ids[:k])), tuple(sorted(ids[k:]))
+    for a, b in itertools.combinations(clique, 2):
+        if not g.has_edge(a, b):
+            raise ValueError(f"clique part misses edge ({a},{b})")
+    inside = set(independent)
+    for u, v in g.sorted_edges():
+        if u in inside and v in inside:
+            raise ValueError(f"independent part contains edge ({u},{v})")
+    return type(part)(clique, independent)
 
 
 def ref_intersection_graph(m):

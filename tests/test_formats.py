@@ -1,5 +1,7 @@
+import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from semidom.formats import (edgelist_header, parse_edgelist, parse_intervals,
 from semidom.generators import gen_connected_graph, gen_named
 from semidom.graph import Graph, SplitPartition
 from semidom.intervals import IntervalModel, intersection_graph
+
+import oracles
 
 
 class TestEdgelist:
@@ -80,6 +84,191 @@ class TestEdgelist:
 
     def test_header_reads_no_edge_line(self):
         assert edgelist_header("# c\n\n 5 2 \n0 x\n") == (5, 2)
+
+
+def _outcome(parse, text):
+    """What parsing `text` gives: the parsed value, or the ValueError's text."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _noise(rng, lines):
+    """The lines with blank and comment lines slipped in, each line padded
+    with spaces or tabs, joined by one line ending drawn for the file."""
+    out = []
+    for line in lines:
+        if rng.random() < 0.15:
+            out.append(rng.choice(["", "   ", "# note", "  #x y z"]))
+        out.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t "]))
+    return rng.choice(["\n", "\r\n", "\r"]).join(out) + rng.choice(["", "\n"])
+
+
+def _edge_list_text(rng):
+    """A seeded edge-list text: a random simple graph in random line order,
+    and with probability one or more faults a parser must report."""
+    n = rng.randrange(0, 12)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    rng.shuffle(pairs)
+    lines = [f"{u} {v}" for u, v in pairs]
+    head = [n, len(lines)]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        fault = rng.randrange(8)
+        k = rng.randrange(len(lines) + 1)
+        if fault == 0:
+            head[1] += rng.choice([-1, 1])
+        elif fault == 1:
+            head[0] = rng.choice([-n - 1, -1, max(n - 2, 0)])
+        elif fault == 2 and pairs:
+            lines.insert(k, lines[rng.randrange(len(lines))])  # a duplicate
+            head[1] += 1
+        elif fault == 3:
+            lines.insert(k, f"{rng.randrange(-3, n)} {n + rng.randrange(3)}")
+            head[1] += 1
+        elif fault == 4:
+            lines.insert(k, f"{-rng.randrange(1, 4)} {rng.randrange(-1, n + 1)}")
+            head[1] += 1
+        elif fault == 5:
+            u = rng.randrange(max(n, 1))
+            lines.insert(k, f"{u} {u - rng.randrange(2)}")  # u >= v
+            head[1] += 1
+        elif fault == 6:
+            lines.insert(k, rng.choice(["0 x", "1.0 2", "0 1 2", "3", "a b", "0 ٣"]))
+            head[1] += 1
+        elif fault == 7 and lines:
+            lines[rng.randrange(len(lines))] += rng.choice([" 9", " #", ""])
+    if rng.random() < 0.03:
+        head = rng.choice([[n], [n, 0, 1], ["x", 0], [n, "0.5"]])
+    return _noise(rng, [" ".join(map(str, head))] + lines)
+
+
+class TestEdgelistAgainstReference:
+    """parse_edgelist gives the token-list parser's graph or error text."""
+
+    NAMED = {
+        "comments, blanks and CRLF": "# c\r\n\r\n4 3\r\n0 1\r\n  # x\r\n1 2\r\n\r\n2 3\r\n",
+        "lines out of order": "5 4\n3 4\n0 2\n1 3\n0 1\n",
+        "ids past the small-int cache": "1000 3\n998 999\n0 999\n300 999\n",
+        "other line breaks": "3 2\x0b0 1\x1c1 2\u2028",
+        "count short and a malformed line": "3 3\n0 1\n0 1 2\n",
+        "count long and a bad token": "3 1\n0 1\n0 x\n",
+        "malformed after out of range": "3 2\n0 5\n1\n",
+        "non-integer after out of range": "3 2\n0 5\n0 1.5\n",
+        "duplicate before out of range": "4 3\n0 1\n0 1\n2 9\n",
+        "duplicate after out of range": "4 3\n0 1\n2 9\n0 1\n",
+        "duplicate written apart": "4 3\n0 1\n2 3\n0 1\n",
+        "negative n, no edges": "-2 0\n",
+        "negative n with edges": "-2 1\n0 1\n",
+        "negative n and a malformed line": "-2 1\n0 1 2\n",
+        "negative n and a wrong count": "-2 2\n0 1\n",
+        "u > v": "3 1\n1 0\n",
+        "u = v": "3 1\n1 1\n",
+        "u > v after out of range": "3 2\n0 7\n2 1\n",
+        "negative ends": "3 1\n-3 -1\n",
+        "negative u": "3 1\n-1 2\n",
+        "non-integer tokens": "3 1\n0 x\n",
+        "decimal token": "3 1\n0.0 1\n",
+        "header only": "3 0\n",
+        "empty": "",
+        "bad header": "3\n0 1\n",
+        "header too large": "1000001 0\n",
+    }
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_texts(self, name):
+        text = self.NAMED[name]
+        want = _outcome(oracles.ref_parse_edgelist, text)
+        assert _outcome(parse_edgelist, text) == want
+
+    def test_named_faults_read_as_before(self):
+        # the first fault in the documented order, as the reference gives it
+        got = {name: _outcome(parse_edgelist, self.NAMED[name])
+               for name in ("count short and a malformed line", "malformed after out of range",
+                            "duplicate before out of range", "duplicate after out of range",
+                            "negative n with edges", "negative n and a malformed line",
+                            "negative ends")}
+        assert got == {
+            "count short and a malformed line": "ValueError: expected 3 edge lines, found 2",
+            "malformed after out of range": "ValueError: malformed edge line: '1'",
+            "duplicate before out of range": "ValueError: duplicate edge (0, 1)",
+            "duplicate after out of range": "ValueError: edge (2,9) out of range for n=4",
+            "negative n with edges": "ValueError: vertex count must be nonnegative, got -2",
+            "negative n and a malformed line": "ValueError: malformed edge line: '0 1 2'",
+            "negative ends": "ValueError: edge (-3,-1) out of range for n=3",
+        }
+
+    def test_seeded_texts(self):
+        outcomes = set()
+        for seed in range(3000):
+            text = _edge_list_text(random.Random(seed))
+            want = _outcome(oracles.ref_parse_edgelist, text)
+            assert _outcome(parse_edgelist, text) == want, (seed, text)
+            outcomes.add(want.split(" ")[1] if isinstance(want, str) else "graph")
+        # every kind of outcome came up
+        assert outcomes == {"graph", "expected", "edge", "malformed", "edges",
+                            "duplicate", "vertex", "invalid"}, outcomes
+
+    def test_rows_are_sorted_tuples_sharing_one_int_per_vertex(self):
+        g = parse_edgelist("1000 4\n998 999\n0 999\n300 999\n300 998\n")
+        assert g._adj[999] == (0, 300, 998) and g._adj[300] == (998, 999)
+        assert all(type(row) is tuple for row in g._adj)
+        assert g._adj[999][1] is g._adj[998][0]  # both are vertex 300
+        assert g._adj[300][1] is g._adj[0][0]  # both are vertex 999
+
+    def test_parse_memory_per_edge(self):
+        # K_633: 200,028 edges; the text is made before tracing starts
+        text = write_edgelist(gen_named("complete", 633))
+        tracemalloc.start()
+        try:
+            g = parse_edgelist(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 200_028
+        assert peak < 150 * g.m, peak / g.m
+        assert retained < 20 * g.m, retained / g.m
+
+
+def _interval_text(rng):
+    """A seeded interval text: random endpoints written as integers,
+    decimals or fractions, and with probability one or more faults."""
+    tokens = ["0", "1", "2", "-1", "0.5", "1/3", "2/3", "1e1", "-2.5e-1", "7/2"]
+    lines = [f"{rng.choice(tokens)} {rng.choice(tokens)}" for _ in range(rng.randrange(6))]
+    head = [len(lines)]
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        k = rng.randrange(len(lines) + 1)
+        if rng.random() < 0.25:
+            head[0] += rng.choice([-1, 1])
+        else:
+            lines.insert(k, rng.choice(["0 1/0", "0 x", "0 1e", "1e5000 2", "0 1 2",
+                                        "3", "2 2", "3 1", "1/2 0.5"]))
+            head[0] += 1
+    if rng.random() < 0.05:
+        head = rng.choice([[-1], ["x"], [1, 2], [-len(lines)]])
+    return _noise(rng, [" ".join(map(str, head))] + lines)
+
+
+class TestIntervalsAgainstReference:
+    def test_seeded_texts(self):
+        outcomes = set()
+        for seed in range(2000):
+            text = _interval_text(random.Random(seed))
+            want = _outcome(oracles.ref_parse_intervals, text)
+            assert _outcome(parse_intervals, text) == want, (seed, text)
+            outcomes.add(want.split(" ")[1] if isinstance(want, str) else "model")
+        assert outcomes == {"model", "expected", "interval", "malformed",
+                            "endpoint", "invalid", "Invalid", "degenerate"}, outcomes
+
+    @pytest.mark.parametrize("text", [
+        "3\n0 1\n0 1 2\n",  # wrong count before a malformed line
+        "1\n0 x\n0 1\n",  # wrong count before a bad endpoint
+        "2\n2 2\n0 x\n",  # a bad endpoint before a degenerate interval
+        "2\n0 1\n1/0 2\n",
+        "1\r\n# c\r\n\r\n 0.5  3/2 \r\n",
+    ])
+    def test_fault_order(self, text):
+        assert _outcome(parse_intervals, text) == _outcome(oracles.ref_parse_intervals, text)
 
 
 class TestIntervals:

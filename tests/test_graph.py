@@ -16,7 +16,7 @@ from semidom.graph import (Graph, SplitPartition, bfs_distance, check_vertex_set
                            is_connected, neighborhood_within, open_masks)
 from semidom.intervals import (IntervalModel, canonicalize_intervals,
                                intersection_edge_count, intersection_graph)
-from semidom.generators import SplitMix64, gen_interval_model
+from semidom.generators import SplitMix64, gen_interval_model, gen_split_graph
 
 import oracles
 
@@ -291,12 +291,16 @@ class TestIntersectionGraphAgainstReference:
             "floats": [(0.5, 1.5), (1.5, 2.25), (2.5, 3.0)],
             "unsorted": [(7, 9), (0, 3), (5, 8), (2, 6)],
             "components": [(20, 21), (0, 2), (10, 12), (1, 3), (11, 13)],
+            "57 identical": [(0, 1)] * 57,
+            "touching at one point": [(i - 5, 0) for i in range(5)] + [(0, i) for i in range(1, 6)],
+            "nested, ends shared": [(i, 20 - i) for i in range(10)] + [(9, 11), (0, 20)],
         }
         edge_counts = {name: _same_intersection_graph(IntervalModel(tuple(pairs))).m
                        for name, pairs in cases.items()}
         assert edge_counts == {"empty": 0, "single": 0, "touching": 2, "identical": 3,
                                "nested": 5, "fractions": 1, "floats": 1,
-                               "unsorted": 3, "components": 2}
+                               "unsorted": 3, "components": 2, "57 identical": 1596,
+                               "touching at one point": 45, "nested, ends shared": 66}
 
     def test_seeded_models(self):
         for n in range(1, 41):
@@ -618,6 +622,58 @@ class TestSplitPartition:
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
             SplitPartition(clique=(0, 1, 2), independent=()).validate(g)
+
+    def test_validate_matches_the_pair_by_pair_check(self):
+        # split graphs with faults added: an independent pair joined, a
+        # clique pair cut, a vertex moved across, listed twice or left out
+        rng = random.Random(5)
+        outcomes = set()
+        for trial in range(400):
+            g, part = gen_split_graph(rng.randrange(1, 9), rng.randrange(0, 9),
+                                      rng.random(), trial)
+            clique, independent = list(part.clique), list(part.independent)
+            edges = set(g.sorted_edges())
+            for _ in range(rng.choice([0, 1, 1, 2, 3])):
+                fault = rng.randrange(6)
+                if fault == 0 and len(independent) > 1:
+                    edges.add(tuple(sorted(rng.sample(independent, 2))))
+                elif fault == 1 and len(clique) > 1:
+                    edges.discard(tuple(sorted(rng.sample(clique, 2))))
+                elif fault == 2 and clique:
+                    independent.append(clique.pop(rng.randrange(len(clique))))
+                elif fault == 3 and independent:
+                    clique.append(independent.pop(rng.randrange(len(independent))))
+                elif fault == 4:
+                    rng.choice([clique, independent]).append(rng.randrange(g.n))
+                elif fault == 5 and independent:
+                    independent.pop(rng.randrange(len(independent)))
+            rng.shuffle(clique)
+            rng.shuffle(independent)
+            h = Graph(g.n, edges)
+            p = SplitPartition(tuple(clique), tuple(independent))
+            try:
+                want = oracles.ref_validate_partition(p, h)
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = p.validate(h)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (trial, h.sorted_edges(), p)
+            outcomes.add(want.split(" ")[0] if isinstance(want, str) else "valid")
+        assert outcomes == {"valid", "clique", "independent", "partition"}, outcomes
+
+    def test_validate_on_a_large_split_graph_walks_rows(self):
+        # 600 clique and 400 independent vertices, about 250,000 edges:
+        # the rows hold every fact, so no edge list or pair set is built
+        g, part = gen_split_graph(600, 400, 0.3, 0)
+        tracemalloc.start()
+        try:
+            assert part.validate(g) == part
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_rejects_uncovered_vertex(self):
         g = Graph(3, [(0, 1), (1, 2)])
