@@ -13,6 +13,7 @@ import json
 import sys
 import time
 
+from . import formats
 from .approx import approx_semitotal
 from .domination import DominationKind, exact_min, verify, verify_intervals
 from .errors import InfeasibleError, SizeCapError
@@ -64,6 +65,32 @@ MAX_BUILT_EDGES = 10_000_000
 # 1e8 (--size 14142) 7.84 s, at 17-21 MB
 MAX_PAIR_DRAWS = 50_000_000
 
+# most bits of the neighbourhood masks `solve --algo exact|approx` builds.
+# Mask v holds bit v, so closed_masks holds at least n(n+1)/2 bits on n
+# vertices whatever m is, and the exact SEMITOTAL search builds as many again
+# for its distance-2 masks; both are judged on n, not per component. Just
+# under it (as above): `solve --algo approx` on P_109544 takes 16.2 s and
+# 806 MB (P_100000: 14.3-18.3 s and 688 MB), and `--algo exact` on P_77459
+# 2.3 s and 798 MB before it exits 4 at its member cap
+MAX_MASK_BITS = 6_000_000_000
+
+
+def _source_cap(args) -> int:
+    from .reductions import _LAYOUT, GadgetKind
+    return _LAYOUT[GadgetKind[args.kind.upper()]].cap
+
+
+# each quantity _admit sizes: its cap, read when a route is admitted, and
+# the end of the error message that names it
+_CAPS = {
+    "vertices": (lambda _: formats._MAX_VERTICES, ", more than the edge-list limit of {}"),
+    "intervals": (lambda _: formats._MAX_VERTICES, ", more than the limit of {}"),
+    "edges": (lambda _: MAX_BUILT_EDGES, " (cap m<={})"),
+    "pair draws": (lambda _: MAX_PAIR_DRAWS, " (cap {})"),
+    "mask bits": (lambda _: MAX_MASK_BITS, " (cap {})"),
+    "source vertices": (_source_cap, " (cap n<={})"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # unknown flags and bad values exit 1, not 2
@@ -80,15 +107,17 @@ def _read(path: str) -> str:
 
 
 def _load_instance(args) -> Graph | IntervalModel:
+    parse = parse_intervals if args.format == "intervals" else parse_edgelist
+    return parse(_read(args.input))
+
+
+def _load_gadget_source(args) -> tuple[Graph, SplitPartition | None]:
+    """The graph read from --input, and with --kind split its --partition,
+    once the route is admitted from the edge list's header: before any edge
+    line is parsed, so an oversized file is refused even if a later line is
+    malformed, and reduce writes only edge lists that solve can read."""
     text = _read(args.input)
-    if args.format == "intervals":
-        return parse_intervals(text)
-    return parse_edgelist(text)
-
-
-def _load_gadget_source(args, text: str) -> tuple[Graph, SplitPartition | None]:
-    """The graph of `text`, read from --input, and with --kind split its
-    --partition."""
+    _admit(args, *edgelist_header(text))
     g = parse_edgelist(text)
     if args.kind != "split":
         return g, None
@@ -113,11 +142,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
         raise ValueError("--algo interval requires --format intervals")
     if inst.n == 0:  # one message for every route, before any solver sees it
         raise ValueError("graph is empty")
-    if args.algo != "interval" and isinstance(inst, IntervalModel):
-        m = intersection_edge_count(inst)  # O(n log n), with no graph built
-        if m > MAX_BUILT_EDGES:
-            raise SizeCapError(f"interval graph too large for --algo {args.algo}: "
-                               f"{m} edges (cap m<={MAX_BUILT_EDGES})")
+    _admit(args, inst.n, source=inst)
     # the interval solver needs only the model, so an infeasible model exits
     # before its O(n^2) intersection graph is built for the check
     g = None if args.algo == "interval" else _graph_of(inst)
@@ -130,8 +155,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
     else:
         result = approx_semitotal(g)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    if g is None:
-        g = _graph_of(inst)
+    g = _graph_of(inst) if g is None else g
     ok = verify(g, result, DominationKind.SEMITOTAL).valid
     doc = {
         "algorithm": args.algo,
@@ -169,26 +193,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_reduce(args) -> tuple[dict, int]:
     from pathlib import Path
-    from .formats import _MAX_VERTICES
-    from .reductions import GadgetKind, _gadget_size, build_gadget
-    text = _read(args.input)
-    kind = GadgetKind[args.kind.upper()]
-    # both caps are judged from the header, before any edge line is parsed,
-    # so solve can read back every edge list that passes them
-    n, m = edgelist_header(text)
-    h_n = _gadget_size(kind, n, m)
-    if h_n > _MAX_VERTICES:
-        raise SizeCapError(f"--kind {args.kind} would write {h_n} vertices, more "
-                           f"than the edge-list limit of {_MAX_VERTICES}")
-    if kind is GadgetKind.SPLIT:
-        # the gadget joins the source's vertices (as themselves or their y
-        # copies), s and w in one clique; the other gadgets are linear in n + m
-        clique = _clique_edges(n + 2)
-        if clique > MAX_BUILT_EDGES:
-            raise SizeCapError(f"split gadget too large: its clique has {clique} edges "
-                               f"(cap m<={MAX_BUILT_EDGES})")
-    g, partition = _load_gadget_source(args, text)
-    go = build_gadget(g, kind, partition)
+    from .reductions import GadgetKind, build_gadget
+    g, partition = _load_gadget_source(args)
+    go = build_gadget(g, GadgetKind[args.kind.upper()], partition)
     out = Path(args.output)
     out.write_text(write_edgelist(go.h), encoding="utf-8")
     roles_path = Path(str(out) + ".roles.json")
@@ -210,19 +217,17 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 
 def _cmd_check_reduction(args) -> tuple[dict, int]:
-    from .reductions import GadgetKind, _check_source_size, check_reduction
+    from .reductions import GadgetKind, check_reduction
     kind = GadgetKind[args.kind.upper()]
     # a source is refused before it is built, so an oversized request costs
-    # nothing: a file from its header, before any edge line is parsed
+    # nothing
     if args.input:
-        text = _read(args.input)
-        _check_source_size(kind, edgelist_header(text)[0])
-        g, partition = _load_gadget_source(args, text)
+        g, partition = _load_gadget_source(args)
     else:
         family, missing = (("split", "split check needs --clique and --ind (or --input)")
                            if kind is GadgetKind.SPLIT else
                            ("random", "check needs --input or --size"))
-        _check_source_size(kind, _edge_list_size(family, args, missing)[0])
+        _admit(args, _edge_list_size(family, args, missing)[0])
         g, partition = _generate(family, args)
     report = check_reduction(g, kind, partition, DEFAULT_MAX_NODES)
     doc = {
@@ -268,51 +273,65 @@ def _generate(family: str, args):
     return generators.gen_named(family, args.size, args.seed), None
 
 
-def _check_gen_size(args) -> None:
-    """Raise SizeCapError, before anything is generated, for an edge list
-    that `solve` could not read (more vertices than the edge-list header
-    allows) or whose clique has more than MAX_BUILT_EDGES edges, for a
-    random graph (gp4's base included) or split graph expected to have more
-    edges than that or, for random and split, drawing for more than
-    MAX_PAIR_DRAWS vertex pairs, and for more intervals than that vertex
-    limit: the interval generator lists all 4n candidate endpoints first,
-    in time and memory linear in n."""
-    from .formats import _MAX_VERTICES
-    if args.family == "intervals":
-        if args.size > _MAX_VERTICES:
-            raise SizeCapError(f"--family intervals would write {args.size} intervals, "
-                               f"more than the limit of {_MAX_VERTICES}")
-        return
-    n, m = _edge_list_size(args.family, args, "--family split needs --clique and --ind")
-    if n > _MAX_VERTICES:
-        raise SizeCapError(f"--family {args.family} would write {n} vertices, more "
-                           f"than the edge-list limit of {_MAX_VERTICES}")
-    if m > MAX_BUILT_EDGES:
-        raise SizeCapError(f"--family {args.family} would write a clique of {m} "
-                           f"edges (cap m<={MAX_BUILT_EDGES})")
-    if args.family in ("gp4", "random", "split"):
-        # one draw per vertex pair of the random graph (gp4's base), or per
-        # (clique, independent) pair of split, each an edge with probability
-        # p; the generator judges a p out of range
-        draws, p, name = _clique_edges(args.size), args.p, "p"
-        if args.family == "gp4":
-            p = 0.5
-        elif args.family == "split":
-            draws, p, name = args.clique * args.ind, args.density, "density"
-        if args.family != "gp4" and draws > MAX_PAIR_DRAWS:
-            raise SizeCapError(f"--family {args.family} would make {draws} pair draws "
-                               f"(cap {MAX_PAIR_DRAWS})")
-        if 0 <= p <= 1 and m + p * draws > MAX_BUILT_EDGES:
-            raise SizeCapError(f"--family {args.family} would draw about "
-                               f"{round(m + p * draws)} edges at {name}={p} "
-                               f"(cap m<={MAX_BUILT_EDGES})")
+def _admit(args, n: int = 0, m: int = 0, source=None) -> None:
+    """Raise SizeCapError for the first piece of work of the route of args
+    that is over its cap in _CAPS, in the order the route reports them.
+    Every subcommand but verify, which builds nothing the table caps, calls
+    it once, before it builds what that work counts. n and m are the vertex
+    and edge counts an edge-list header declares, or for solve n is the
+    instance's, and source is solve's instance; the rest comes from the
+    options."""
+    def check(quantity: str, amount, message: str) -> None:
+        if amount > (cap := _CAPS[quantity][0](args)):
+            raise SizeCapError(message + _CAPS[quantity][1].format(cap))
+
+    if args.command == "solve":
+        if isinstance(source, IntervalModel):  # counted in O(n log n), no graph built
+            m = intersection_edge_count(source)
+            check("edges", m, f"interval graph too large for --algo {args.algo}: {m} edges")
+        if args.algo != "interval":
+            bits = n * (n + 1) // (1 if args.algo == "exact" else 2)
+            check("mask bits", bits, f"graph too large for --algo {args.algo}: {n} "
+                                     f"vertices need {bits} mask bits")
+    elif args.command == "reduce":
+        from .reductions import GadgetKind, _gadget_size
+        h_n = _gadget_size(GadgetKind[args.kind.upper()], n, m)
+        check("vertices", h_n, f"--kind {args.kind} would write {h_n} vertices")
+        if args.kind == "split":
+            # the gadget joins the source's vertices (as themselves or their
+            # y copies), s and w in one clique; the other gadgets are linear
+            # in n + m
+            clique = _clique_edges(n + 2)
+            check("edges", clique, f"split gadget too large: its clique has {clique} edges")
+    elif args.command == "check-reduction":
+        check("source vertices", n, f"source too large for {args.kind.upper()} check")
+    elif args.family == "intervals":
+        # the interval generator lists all 4n candidate endpoints first, in
+        # time and memory linear in n
+        check("intervals", args.size, f"--family intervals would write {args.size} intervals")
+    else:  # gen writes an edge list that solve can read
+        family = args.family
+        n, m = _edge_list_size(family, args, "--family split needs --clique and --ind")
+        check("vertices", n, f"--family {family} would write {n} vertices")
+        check("edges", m, f"--family {family} would write a clique of {m} edges")
+        # one draw per vertex pair of the random graph (gp4's base, at p =
+        # 0.5), or per (clique, independent) pair of split, each an edge with
+        # probability p; the generator judges a p out of range
+        split = family == "split"
+        draws = args.clique * args.ind if split else _clique_edges(args.size)
+        p = args.density if split else 0.5 if family == "gp4" else args.p
+        if family in ("random", "split"):
+            check("pair draws", draws, f"--family {family} would make {draws} pair draws")
+        if family in ("gp4", "random", "split") and 0 <= p <= 1:
+            check("edges", m + p * draws, f"--family {family} would draw about "
+                  f"{round(m + p * draws)} edges at {'density' if split else 'p'}={p}")
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
     from pathlib import Path
     out = Path(args.output)
     extra: dict = {"output": str(out)}
-    _check_gen_size(args)
+    _admit(args)
     source = _generate(args.family, args)
     if args.family == "intervals":
         out.write_text(write_intervals(source), encoding="utf-8")

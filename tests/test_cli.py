@@ -469,18 +469,22 @@ class TestInProcess:
         doc = json.loads(capsys.readouterr().out)
         assert code == 3 and doc == {"error": "isolated vertex 8000", "kind": "infeasible"}
 
-    @pytest.mark.parametrize("algo", ["exact", "approx"])
+    @pytest.mark.parametrize("algo", ["exact", "approx", "interval"])
     def test_interval_edge_cap_exits_4_before_the_graph(self, tmp_path, capsys, monkeypatch,
                                                         algo):
         # 20,000 identical intervals: their 199,990,000 edges would take some
-        # 10 GB, so they are counted from the model and refused
+        # 10 GB, so they are counted from the model and refused; --algo
+        # interval builds the graph only to verify its answer, and is refused
+        # the same way
         f = tmp_path / "m.txt"
         f.write_text("20000\n" + "0 1\n" * 20000)
 
-        def no_graph(model):
-            raise AssertionError("solve built the intersection graph")
+        def no_graph(*args, **kwargs):
+            raise AssertionError("solve built a graph")
 
         monkeypatch.setattr(cli, "intersection_graph", no_graph)
+        monkeypatch.setattr(intervals, "intersection_graph", no_graph)
+        monkeypatch.setattr(Graph, "__init__", no_graph)
         t0 = time.perf_counter()
         code = cli.main(["solve", "--algo", algo, "--format", "intervals", "--input", str(f)])
         assert time.perf_counter() - t0 < 2.0
@@ -490,7 +494,7 @@ class TestInProcess:
                      "(cap m<=10000000)",
             "kind": "size-cap"}
 
-    @pytest.mark.parametrize("algo", ["exact", "approx"])
+    @pytest.mark.parametrize("algo", ["exact", "approx", "interval"])
     def test_interval_edge_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch, algo):
         monkeypatch.setattr(cli, "MAX_BUILT_EDGES", 3)
         f = tmp_path / "m.txt"
@@ -539,6 +543,97 @@ class TestInProcess:
         assert time.perf_counter() - t0 < 10
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "size-cap" and "members" in doc["error"]
+
+    @pytest.mark.parametrize("algo, fmt", [("approx", "edgelist"), ("exact", "edgelist"),
+                                           ("approx", "intervals"), ("exact", "intervals")])
+    def test_mask_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch, algo, fmt):
+        # closed_masks holds n(n+1)/2 bits on n vertices, and the exact
+        # search as many again for its distance-2 masks; a chain of
+        # intervals is a path too
+        def text(n):
+            if fmt == "edgelist":
+                return write_edgelist(gen_named("path", n))
+            return f"{n}\n" + "".join(f"{2 * i} {2 * i + 3}\n" for i in range(n))
+
+        def bits(n):
+            return n * (n + 1) // (1 if algo == "exact" else 2)
+
+        monkeypatch.setattr(cli, "MAX_MASK_BITS", bits(10))
+        f = tmp_path / "path.txt"
+        solve = ["solve", "--algo", algo, "--format", fmt, "--input", str(f)]
+        f.write_text(text(10))
+        assert cli.main(solve) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+        def no_masks(g):
+            raise AssertionError("solve built the masks")
+
+        monkeypatch.setattr("semidom.approx.closed_masks", no_masks)
+        monkeypatch.setattr("semidom.domination.closed_masks", no_masks)
+        f.write_text(text(11))
+        assert cli.main(solve) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": f"graph too large for --algo {algo}: 11 vertices need {bits(11)} "
+                     f"mask bits (cap {bits(10)})",
+            "kind": "size-cap"}
+
+    # one instance per route and capped quantity: the argv, with input and
+    # output files by name, and the amount of the quantity it asks for
+    ADMISSIONS = [
+        ("edges", ["solve", "--algo", "interval", "--format", "intervals", "--input", "chain"],
+         3),
+        ("edges", ["solve", "--algo", "exact", "--format", "intervals", "--input", "chain"], 3),
+        ("mask bits", ["solve", "--algo", "approx", "--input", "path"], 10),
+        ("mask bits", ["solve", "--algo", "exact", "--format", "intervals", "--input",
+                       "chain"], 20),
+        ("vertices", ["reduce", "--kind", "apx", "--input", "path", "--output", "out"], 27),
+        ("edges", ["reduce", "--kind", "split", "--input", "path", "--partition",
+                   "partition", "--output", "out"], 15),
+        ("source vertices", ["check-reduction", "--kind", "ln", "--input", "path"], 4),
+        ("source vertices", ["check-reduction", "--kind", "split", "--clique", "2", "--ind",
+                             "3"], 5),
+        ("intervals", ["gen", "--family", "intervals", "--size", "4", "--output", "out"], 4),
+        ("vertices", ["gen", "--family", "gp4", "--size", "2", "--output", "out"], 10),
+        ("edges", ["gen", "--family", "complete", "--size", "5", "--output", "out"], 10),
+        ("pair draws", ["gen", "--family", "split", "--clique", "1", "--ind", "4",
+                        "--density", "0", "--output", "out"], 4),
+        ("edges", ["gen", "--family", "random", "--size", "5", "--p", "1", "--output", "out"],
+         10),
+    ]
+
+    def test_every_cap_admits_its_own_size_and_refuses_one_more(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # every quantity of the cap table is sized on some route
+        assert {quantity for quantity, _, _ in self.ADMISSIONS} == set(cli._CAPS)
+        files = {"path": write_edgelist(gen_named("path", 4)),
+                 "partition": "clique 1 2\nindependent 0 3\n",
+                 "chain": "4\n0 3\n2 5\n4 7\n6 9\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a refused route built its work")
+
+        for quantity, argv, amount in self.ADMISSIONS:
+            argv = [str(tmp_path / a) if a in (*files, "out") else a for a in argv]
+            out, end = tmp_path / "out", cli._CAPS[quantity][1]
+            with monkeypatch.context() as patch:
+                patch.setitem(cli._CAPS, quantity, (lambda args: amount, end))
+                assert cli.main(argv) == 0, argv
+                capsys.readouterr()
+                out.unlink(missing_ok=True)
+                patch.setitem(cli._CAPS, quantity, (lambda args: amount - 1, end))
+                for name in ("cli.intersection_graph", "intervals.intersection_graph",
+                             "approx.closed_masks", "domination.closed_masks",
+                             "generators.gen_named", "generators.gen_connected_graph",
+                             "generators.gen_split_graph", "generators.gen_interval_model",
+                             "reductions.build_gadget", "reductions.check_reduction"):
+                    patch.setattr(f"semidom.{name}", built)
+                assert cli.main(argv) == 4, argv
+                doc = json.loads(capsys.readouterr().out)
+                assert doc["kind"] == "size-cap", argv
+                assert doc["error"].endswith(end.format(amount - 1)), argv
+                assert not out.exists(), argv
 
     def test_exact_default_node_budget_exits_4(self, tmp_path, capsys, monkeypatch):
         # unbounded, a semitotal search on P_300 runs for hours; the default
@@ -813,10 +908,16 @@ class TestInProcess:
                            (["intervals", "--size", "11"], 4)):
             assert cli.main(["gen", "--family", *argv, "--output", out]) == code, argv
             capsys.readouterr()
-            if code == 0:  # solve reads every file gen writes
-                algo = (["interval", "--format", "intervals"] if argv[0] == "intervals"
-                        else ["approx"])
-                assert cli.main(["solve", "--algo", *algo, "--input", out]) == 0, argv
+            if code == 0 and argv[0] == "intervals":
+                # solve reads the model, but --algo interval builds its
+                # intersection graph to verify the answer, and these 10
+                # intervals have 31 edges, over the edge cap patched above
+                assert cli.main(["solve", "--algo", "interval", "--format", "intervals",
+                                 "--input", out]) == 4
+                assert json.loads(capsys.readouterr().out)["error"] == (
+                    "interval graph too large for --algo interval: 31 edges (cap m<=10)")
+            elif code == 0:  # solve reads every edge list gen writes
+                assert cli.main(["solve", "--algo", "approx", "--input", out]) == 0, argv
                 assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_gen_random_at_the_approx_pool_size_is_pinned(self, tmp_path, capsys):
