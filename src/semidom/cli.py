@@ -75,20 +75,17 @@ MAX_PAIR_DRAWS = 50_000_000
 MAX_MASK_BITS = 6_000_000_000
 
 
-def _source_cap(args) -> int:
-    from .reductions import _LAYOUT, GadgetKind
-    return _LAYOUT[GadgetKind[args.kind.upper()]].cap
-
-
 # each quantity _admit sizes: its cap, read when a route is admitted, and
-# the end of the error message that names it
+# the end of the error message that names it. check-reduction's source cap
+# is check_reduction's own, one per kind beside reductions._LAYOUT, and
+# _admit asks reductions._check_source_size, so the library and the CLI
+# refuse a source by one rule in the same words
 _CAPS = {
     "vertices": (lambda _: formats._MAX_VERTICES, ", more than the edge-list limit of {}"),
     "intervals": (lambda _: formats._MAX_VERTICES, ", more than the limit of {}"),
     "edges": (lambda _: MAX_BUILT_EDGES, " (cap m<={})"),
     "pair draws": (lambda _: MAX_PAIR_DRAWS, " (cap {})"),
     "mask bits": (lambda _: MAX_MASK_BITS, " (cap {})"),
-    "source vertices": (_source_cap, " (cap n<={})"),
 }
 
 
@@ -126,7 +123,10 @@ def _load_gadget_source(args) -> tuple[Graph, SplitPartition | None]:
     return g, parse_partition(_read(args.partition))
 
 
-def _graph_of(inst: Graph | IntervalModel) -> Graph:
+def _graph_of(args, inst: Graph | IntervalModel) -> Graph:
+    """solve's instance as a graph, once the route is admitted on it, so
+    nothing over a cap is built."""
+    _admit(args, inst.n, source=inst)
     return intersection_graph(inst) if isinstance(inst, IntervalModel) else inst
 
 
@@ -142,10 +142,10 @@ def _cmd_solve(args) -> tuple[dict, int]:
         raise ValueError("--algo interval requires --format intervals")
     if inst.n == 0:  # one message for every route, before any solver sees it
         raise ValueError("graph is empty")
-    _admit(args, inst.n, source=inst)
     # the interval solver needs only the model, so an infeasible model exits
-    # before its O(n^2) intersection graph is built for the check
-    g = None if args.algo == "interval" else _graph_of(inst)
+    # 3 before the route is admitted on, and builds, the O(n^2) intersection
+    # graph of the check
+    g = None if args.algo == "interval" else _graph_of(args, inst)
     t0 = time.perf_counter()
     if args.algo == "exact":
         budget = DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes
@@ -155,7 +155,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
     else:
         result = approx_semitotal(g)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    g = _graph_of(inst) if g is None else g
+    g = _graph_of(args, inst) if g is None else g
     ok = verify(g, result, DominationKind.SEMITOTAL).valid
     doc = {
         "algorithm": args.algo,
@@ -275,11 +275,12 @@ def _generate(family: str, args):
 
 def _admit(args, n: int = 0, m: int = 0, source=None) -> None:
     """Raise SizeCapError for the first piece of work of the route of args
-    that is over its cap in _CAPS, in the order the route reports them.
-    Every subcommand but verify, which builds nothing the table caps, calls
-    it once, before it builds what that work counts. n and m are the vertex
-    and edge counts an edge-list header declares, or for solve n is the
-    instance's, and source is solve's instance; the rest comes from the
+    that is over its cap in _CAPS (or, for check-reduction's source, the
+    cap of reductions._check_source_size), in the order the route reports
+    them. Every subcommand but verify, which builds nothing the table caps,
+    calls it once, before it builds what that work counts. n and m are the
+    vertex and edge counts an edge-list header declares, or for solve n is
+    the instance's, and source is solve's instance; the rest comes from the
     options."""
     def check(quantity: str, amount, message: str) -> None:
         if amount > (cap := _CAPS[quantity][0](args)):
@@ -304,7 +305,8 @@ def _admit(args, n: int = 0, m: int = 0, source=None) -> None:
             clique = _clique_edges(n + 2)
             check("edges", clique, f"split gadget too large: its clique has {clique} edges")
     elif args.command == "check-reduction":
-        check("source vertices", n, f"source too large for {args.kind.upper()} check")
+        from .reductions import GadgetKind, _check_source_size
+        _check_source_size(GadgetKind[args.kind.upper()], n)
     elif args.family == "intervals":
         # the interval generator lists all 4n candidate endpoints first, in
         # time and memory linear in n

@@ -300,6 +300,14 @@ def _gadget_size(kind: GadgetKind, n: int, m: int) -> int:
     return (1 + blocks) * n + len(layout.singles) + (m if kind is GadgetKind.APX else 0)
 
 
+def _check_source_size(kind: GadgetKind, n: int) -> None:
+    """Raise SizeCapError if check_reduction refuses an n-vertex source of
+    this kind; cheap, so a caller can ask before it builds the source."""
+    cap = _LAYOUT[kind].cap
+    if n > cap:
+        raise SizeCapError(f"source too large for {kind.value} check (cap n<={cap})")
+
+
 def check_reduction(g: Graph, kind: GadgetKind,
                     partition: SplitPartition | None = None,
                     max_nodes: int | None = None) -> ReductionReport:
@@ -314,13 +322,12 @@ def check_reduction(g: Graph, kind: GadgetKind,
     raises ValueError: the identity semitotal_h = gamma_g + 2 does not hold
     there.
     """
-    layout = _LAYOUT[kind]
-    if g.n > layout.cap:
-        raise SizeCapError(f"source too large for {kind.value} check (cap n<={layout.cap})")
+    _check_source_size(kind, g.n)
     go = build_gadget(g, kind, partition)
     if kind is GadgetKind.SPLIT and not partition.independent:
         raise ValueError("split check needs a nonempty independent part: "
                          "semitotal_h = gamma_g + 2 assumes one")
+    layout = _LAYOUT[kind]
     opt_h = exact_min(go.h, DominationKind.SEMITOTAL, max_nodes)
     details: dict[str, int] = {"n": g.n, "m": g.m, "h_n": go.h.n, "h_m": go.h.m,
                                "semitotal_h": len(opt_h)}

@@ -507,6 +507,24 @@ class TestInProcess:
                          "--input", str(f)]) == 4
         assert "6 edges (cap m<=3)" in json.loads(capsys.readouterr().out)["error"]
 
+    def test_infeasible_interval_model_over_the_edge_cap_exits_3(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # --algo interval solves the model before it is admitted on the graph
+        # it would build for the check, so an infeasible model is reported
+        # as such, and no graph is built
+        f = tmp_path / "m.txt"
+        f.write_text("20001\n" + "0 1\n" * 20000 + "5 6\n")
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("solve built a graph")
+
+        monkeypatch.setattr(intervals, "intersection_graph", no_graph)
+        monkeypatch.setattr(Graph, "__init__", no_graph)
+        code = cli.main(["solve", "--algo", "interval", "--format", "intervals",
+                         "--input", str(f)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 3 and doc == {"error": "isolated vertex 20000", "kind": "infeasible"}
+
     def test_verify_on_intervals_builds_no_graph(self, tmp_path, capsys, monkeypatch):
         # 20,000 identical intervals: the 199,990,000 edges that `verify`
         # once built to count covers would take some 10 GB
@@ -589,9 +607,6 @@ class TestInProcess:
         ("vertices", ["reduce", "--kind", "apx", "--input", "path", "--output", "out"], 27),
         ("edges", ["reduce", "--kind", "split", "--input", "path", "--partition",
                    "partition", "--output", "out"], 15),
-        ("source vertices", ["check-reduction", "--kind", "ln", "--input", "path"], 4),
-        ("source vertices", ["check-reduction", "--kind", "split", "--clique", "2", "--ind",
-                             "3"], 5),
         ("intervals", ["gen", "--family", "intervals", "--size", "4", "--output", "out"], 4),
         ("vertices", ["gen", "--family", "gp4", "--size", "2", "--output", "out"], 10),
         ("edges", ["gen", "--family", "complete", "--size", "5", "--output", "out"], 10),
@@ -627,7 +642,7 @@ class TestInProcess:
                              "approx.closed_masks", "domination.closed_masks",
                              "generators.gen_named", "generators.gen_connected_graph",
                              "generators.gen_split_graph", "generators.gen_interval_model",
-                             "reductions.build_gadget", "reductions.check_reduction"):
+                             "reductions.build_gadget"):
                     patch.setattr(f"semidom.{name}", built)
                 assert cli.main(argv) == 4, argv
                 doc = json.loads(capsys.readouterr().out)
@@ -908,16 +923,14 @@ class TestInProcess:
                            (["intervals", "--size", "11"], 4)):
             assert cli.main(["gen", "--family", *argv, "--output", out]) == code, argv
             capsys.readouterr()
-            if code == 0 and argv[0] == "intervals":
-                # solve reads the model, but --algo interval builds its
-                # intersection graph to verify the answer, and these 10
-                # intervals have 31 edges, over the edge cap patched above
-                assert cli.main(["solve", "--algo", "interval", "--format", "intervals",
-                                 "--input", out]) == 4
-                assert json.loads(capsys.readouterr().out)["error"] == (
-                    "interval graph too large for --algo interval: 31 edges (cap m<=10)")
-            elif code == 0:  # solve reads every edge list gen writes
-                assert cli.main(["solve", "--algo", "approx", "--input", out]) == 0, argv
+            if code == 0:  # solve reads every file gen writes
+                algo = (["interval", "--format", "intervals"] if argv[0] == "intervals"
+                        else ["approx"])
+                with monkeypatch.context() as patch:
+                    # --algo interval builds the 31 edges of these 10 intervals
+                    # to verify its answer, so it is admitted at that cap
+                    patch.setattr(cli, "MAX_BUILT_EDGES", 31)
+                    assert cli.main(["solve", "--algo", *algo, "--input", out]) == 0, argv
                 assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_gen_random_at_the_approx_pool_size_is_pinned(self, tmp_path, capsys):
