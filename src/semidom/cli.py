@@ -20,7 +20,7 @@ from .errors import InfeasibleError, SizeCapError
 from .formats import (edgelist_header, parse_edgelist, parse_intervals,
                       parse_partition, parse_vertex_set, write_edgelist,
                       write_intervals, write_partition)
-from .graph import Graph, SplitPartition
+from .graph import Graph, SplitPartition, connected_components
 from .intervals import IntervalModel, intersection_edge_count, intersection_graph
 from .interval_solver import solve_interval
 
@@ -68,10 +68,12 @@ MAX_PAIR_DRAWS = 50_000_000
 # most bits of the neighbourhood masks `solve --algo exact|approx` builds.
 # Mask v holds bit v, so closed_masks holds at least n(n+1)/2 bits on n
 # vertices whatever m is, and the exact SEMITOTAL search builds as many again
-# for its distance-2 masks; both are judged on n, not per component. Just
-# under it (as above): `solve --algo approx` on P_109544 takes 16.2 s and
-# 806 MB (P_100000: 14.3-18.3 s and 688 MB), and `--algo exact` on P_77459
-# 2.3 s and 798 MB before it exits 4 at its member cap
+# for its distance-2 masks. The approximation's masks span the whole graph,
+# so it is judged on n; the exact search builds both per component, so it is
+# judged on the sum of c(c+1) over the component sizes c. Just under it (as
+# above): `solve --algo approx` on P_109544 takes 16.2 s and 806 MB
+# (P_100000: 14.3-18.3 s and 688 MB), and `--algo exact` on P_77459 2.3 s and
+# 798 MB before it exits 4 at its member cap
 MAX_MASK_BITS = 6_000_000_000
 
 
@@ -104,8 +106,15 @@ def _read(path: str) -> str:
 
 
 def _load_instance(args) -> Graph | IntervalModel:
-    parse = parse_intervals if args.format == "intervals" else parse_edgelist
-    return parse(_read(args.input))
+    """The instance read from --input. For `solve --algo approx`, whose
+    masks span the whole graph, an edge list is admitted from its header,
+    before any edge line is parsed, as reduce's source is."""
+    text = _read(args.input)
+    if args.format == "intervals":
+        return parse_intervals(text)
+    if args.command == "solve" and args.algo == "approx":
+        _admit(args, edgelist_header(text)[0])
+    return parse_edgelist(text)
 
 
 def _load_gadget_source(args) -> tuple[Graph, SplitPartition | None]:
@@ -124,10 +133,29 @@ def _load_gadget_source(args) -> tuple[Graph, SplitPartition | None]:
 
 
 def _graph_of(args, inst: Graph | IntervalModel) -> Graph:
-    """solve's instance as a graph, once the route is admitted on it, so
-    nothing over a cap is built."""
-    _admit(args, inst.n, source=inst)
+    """solve's instance as a graph, once the route is admitted on it (an
+    edge list for --algo approx already was, from its header), so nothing
+    over a cap is built."""
+    if isinstance(inst, IntervalModel) or args.algo == "exact":
+        _admit(args, inst.n, source=inst)
     return intersection_graph(inst) if isinstance(inst, IntervalModel) else inst
+
+
+def _component_sizes(inst: Graph | IntervalModel) -> list[int]:
+    """The vertex count of each connected component of solve's instance;
+    an interval model's come from one sweep of its sorted intervals, with
+    no graph built."""
+    if isinstance(inst, Graph):
+        return [len(comp) for comp in connected_components(inst)]
+    sizes, reach = [], None
+    for a, b in sorted(inst.intervals):
+        if sizes and a <= reach:  # meets an interval of the component so far
+            sizes[-1] += 1
+            reach = max(reach, b)
+        else:
+            sizes.append(1)
+            reach = b
+    return sizes
 
 
 def _emit(doc: dict) -> None:
@@ -280,7 +308,8 @@ def _admit(args, n: int = 0, m: int = 0, source=None) -> None:
     them. Every subcommand but verify, which builds nothing the table caps,
     calls it once, before it builds what that work counts. n and m are the
     vertex and edge counts an edge-list header declares, or for solve n is
-    the instance's, and source is solve's instance; the rest comes from the
+    the instance's (for --algo approx on an edge list, its header's), and
+    source is solve's instance, if parsed; the rest comes from the
     options."""
     def check(quantity: str, amount, message: str) -> None:
         if amount > (cap := _CAPS[quantity][0](args)):
@@ -290,8 +319,16 @@ def _admit(args, n: int = 0, m: int = 0, source=None) -> None:
         if isinstance(source, IntervalModel):  # counted in O(n log n), no graph built
             m = intersection_edge_count(source)
             check("edges", m, f"interval graph too large for --algo {args.algo}: {m} edges")
+        if args.algo == "approx":  # masks over the whole graph; n may be a header's
+            bits = max(n, 0) * (n + 1) // 2
+        elif args.algo == "exact":
+            # exact_min builds its closed and distance-2 masks per component,
+            # c(c + 1) bits on c vertices; their sum is at most n(n + 1), so
+            # the components are found only when that is over the cap
+            bits = n * (n + 1)
+            if bits > _CAPS["mask bits"][0](args):
+                bits = sum(c * (c + 1) for c in _component_sizes(source))
         if args.algo != "interval":
-            bits = n * (n + 1) // (1 if args.algo == "exact" else 2)
             check("mask bits", bits, f"graph too large for --algo {args.algo}: {n} "
                                      f"vertices need {bits} mask bits")
     elif args.command == "reduce":

@@ -10,10 +10,11 @@ hold two labelled lines, `clique ...ids` and `independent ...ids`.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from .graph import Graph, SplitPartition, _raise_first_bad_edge
 from .intervals import IntervalModel
@@ -29,13 +30,37 @@ _MAX_VERTICES = 10**6
 # token; 4300 is CPython's default limit on digits in int conversion.
 _MAX_EXPONENT = 4300
 
+# About how many characters of the text a parser holds split into lines or
+# tokens at a time
+_CHUNK = 1 << 16
 
-def _data_lines(text: str) -> Iterator[list[str]]:
-    """The tokens of each line that is neither blank nor a comment, in order."""
-    for line in text.splitlines():
+# A chunk of lines in the form write_edgelist writes: `u v\n`, ASCII digits
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
+
+def _chunks(text: str) -> Iterator[str]:
+    r"""The text in pieces of about _CHUNK characters, each but the last cut
+    just after a `\n`. A cut there cannot split a `\r\n`, so the lines of
+    the pieces, in order, are the lines of the text."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _CHUNK - 1) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
+def _chunk_lines(chunk: str) -> Iterator[list[str]]:
+    for line in chunk.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             yield line.split()
+
+
+def _data_lines(text: str) -> Iterator[list[str]]:
+    """The tokens of each line that is neither blank nor a comment, in
+    order, read one chunk at a time, so the list of all lines is never
+    held."""
+    return chain.from_iterable(map(_chunk_lines, _chunks(text)))
 
 
 def _edgelist_header(lines: Iterator[list[str]]) -> tuple[int, int]:
@@ -88,8 +113,72 @@ def parse_edgelist(text: str) -> Graph:
 
     A file's first fault is reported in this order: the header, the line
     count, the first bad line, a negative n, then the first edge out of
-    range or repeated. Only a fault found in the pass reads the text again.
+    range or repeated. Only a fault found in the pass reads the text again,
+    line by line, and that read is the one that reports it.
     """
+    found = _edge_rows(text)
+    if found is None:
+        return _parse_by_lines(text)
+    n, rows = found
+    return Graph(n, _rows=rows)
+
+
+def _edge_rows(text: str) -> tuple[int, list[list[int]]] | None:
+    r"""n and the sorted adjacency rows of an edge list with no fault, or
+    None at its first fault of any kind. A chunk of the text in the
+    canonical form `u v\n` is split into ints in bulk; any other chunk is
+    read line by line.
+
+    Edges listed in increasing (u, v) order, as write_edgelist lists them,
+    fill each row in sorted order, smaller neighbours first, and cannot
+    repeat, so only a text in another order has its rows sorted and
+    searched for a repeated neighbour.
+    """
+    rows = None  # until the header is read
+    last, in_order = -1, True  # the key u * n + v of the last edge
+    try:
+        for chunk in _chunks(text):
+            canonical = _CANONICAL.fullmatch(chunk)
+            if canonical:
+                ends = map(int, chunk.split())
+                pairs = zip(ends, ends)
+            else:
+                pairs = _chunk_lines(chunk)
+            if rows is None:
+                head = next(pairs, None)
+                if head is None:  # only blank and comment lines so far
+                    continue
+                if len(head) != 2:
+                    return None
+                n, m = map(int, head)
+                if not 0 <= n <= _MAX_VERTICES:
+                    return None
+                ids = list(range(n))
+                rows = [[] for _ in ids]
+            for u, v in pairs if canonical else map(_edge, pairs):
+                if not 0 <= u < v < n:
+                    return None
+                rows[u].append(ids[v])
+                rows[v].append(ids[u])
+                key = u * n + v
+                if key <= last:
+                    in_order = False
+                last = key
+    except ValueError:
+        return None
+    # each edge read adds two row entries
+    if rows is None or sum(map(len, rows)) != 2 * m:
+        return None
+    if not in_order:
+        if sum(map(len, map(set, rows))) != 2 * m:  # a repeated edge
+            return None
+        for row in rows:
+            row.sort()
+    return n, rows
+
+
+def _parse_by_lines(text: str) -> Graph:
+    """parse_edgelist's graph, or its error, read one data line at a time."""
     lines = _data_lines(text)
     n, m = _edgelist_header(lines)
     ids = list(range(n))

@@ -595,6 +595,65 @@ class TestInProcess:
                      f"mask bits (cap {bits(10)})",
             "kind": "size-cap"}
 
+    @pytest.mark.parametrize("fmt", ["edgelist", "intervals"])
+    def test_exact_mask_cap_is_summed_over_components(self, tmp_path, capsys, monkeypatch,
+                                                      fmt):
+        # exact_min builds its masks per component, c(c+1) bits on c vertices
+        def text(sizes):  # disjoint paths with these vertex counts
+            if fmt == "edgelist":
+                edges, start = [], 0
+                for c in sizes:
+                    edges += [(start + i, start + i + 1) for i in range(c - 1)]
+                    start += c
+                return write_edgelist(Graph(start, edges))
+            ivs = []
+            for k, c in enumerate(sizes):  # a chain of c intervals, right of the last
+                x = 2 * len(ivs) + 10 * k
+                ivs += [(x + 2 * i, x + 2 * i + 3) for i in range(c)]
+            return f"{len(ivs)}\n" + "".join(f"{a} {b}\n" for a, b in ivs)
+
+        monkeypatch.setattr(cli, "MAX_MASK_BITS", 12 * 13)
+        f = tmp_path / "paths.txt"
+        solve = ["solve", "--algo", "exact", "--format", fmt, "--input", str(f)]
+        # 20 disjoint edges need 20 * 6 bits, though n(n+1) on n = 40 is 1640
+        for sizes in ([2] * 20, [12]):
+            f.write_text(text(sizes))
+            assert cli.main(solve) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["n"], doc["verified"]) == (sum(sizes), True)
+
+        def no_masks(g):
+            raise AssertionError("solve built the masks")
+
+        monkeypatch.setattr("semidom.domination.closed_masks", no_masks)
+        for sizes, n, bits in (([13], 13, 182), ([12, 2], 14, 162)):
+            f.write_text(text(sizes))
+            assert cli.main(solve) == 4
+            assert json.loads(capsys.readouterr().out) == {
+                "error": f"graph too large for --algo exact: {n} vertices need {bits} "
+                         "mask bits (cap 156)",
+                "kind": "size-cap"}
+
+    def test_approx_mask_cap_reads_only_the_header(self, tmp_path, capsys, monkeypatch):
+        # the approximation's masks span the whole graph, so the header's n
+        # sizes them, and an oversized file is refused before any edge line
+        # is parsed, even if a later line is malformed
+        monkeypatch.setattr(cli, "MAX_MASK_BITS", 10 * 11 // 2)
+
+        def no_parse(text):
+            raise AssertionError("solve parsed the edge list")
+
+        monkeypatch.setattr("semidom.formats.parse_edgelist", no_parse)
+        monkeypatch.setattr("semidom.cli.parse_edgelist", no_parse)
+        f = tmp_path / "path.txt"
+        for text in (write_edgelist(gen_named("path", 11)), "# c\n11 10\n0 x\n"):
+            f.write_text(text)
+            assert cli.main(["solve", "--algo", "approx", "--input", str(f)]) == 4
+            assert json.loads(capsys.readouterr().out) == {
+                "error": "graph too large for --algo approx: 11 vertices need 66 mask bits "
+                         "(cap 55)",
+                "kind": "size-cap"}
+
     # one instance per route and capped quantity: the argv, with input and
     # output files by name, and the amount of the quantity it asks for
     ADMISSIONS = [

@@ -229,6 +229,104 @@ class TestEdgelistAgainstReference:
         assert peak < 150 * g.m, peak / g.m
         assert retained < 20 * g.m, retained / g.m
 
+    def test_chunked_parse_and_header_memory(self):
+        # K_633 again: the lines are split one chunk at a time, so the parse
+        # holds little beside the rows, and the header reads one chunk
+        text = write_edgelist(gen_named("complete", 633))
+        tracemalloc.start()
+        try:
+            g = parse_edgelist(text)
+            _, peak = tracemalloc.get_traced_memory()
+            del g
+            tracemalloc.reset_peak()
+            assert edgelist_header(text) == (633, 200_028)
+            _, header_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 200_028, peak / 200_028
+        assert header_peak < 1_000_000, header_peak
+
+
+class TestChunkedReader:
+    """The reader splits the text into chunks, and takes a chunk of lines
+    `u v\\n` in bulk; each fault is still reported as the reference does."""
+
+    # texts in the bulk form, each line `u v\n` of ASCII digits
+    CANONICAL = {
+        "u = v": "3 2\n0 1\n1 1\n",
+        "u > v": "3 2\n0 1\n2 1\n",
+        "v = n": "3 2\n0 1\n1 3\n",
+        "repeat before out of range": "4 3\n0 1\n0 1\n2 4\n",
+        "repeat after out of range": "4 3\n0 1\n2 4\n0 1\n",
+        "repeat written apart": "4 3\n0 1\n2 3\n0 1\n",
+        "repeat next to itself": "4 3\n0 1\n0 1\n2 3\n",
+        "too few lines": "3 3\n0 1\n1 2\n",
+        "too many lines": "3 1\n0 1\n1 2\n",
+        "header n above the limit": "1000001 1\n0 1\n",
+        "a 4,301-digit id": "3 1\n0 " + "1" * 4301 + "\n",
+        "a 4,301-digit edge count": "3 " + "1" * 4301 + "\n0 1\n",
+        "leading zeros": "3 2\n00 01\n001 0002\n",
+        "lines out of order": "4 3\n2 3\n0 1\n0 3\n",
+        "header only": "3 0\n",
+    }
+
+    @pytest.mark.parametrize("name", CANONICAL)
+    def test_canonical_texts(self, name):
+        text = self.CANONICAL[name]
+        assert formats._CANONICAL.fullmatch(text)
+        assert _outcome(parse_edgelist, text) == _outcome(oracles.ref_parse_edgelist, text)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 16])
+    def test_seeded_texts_in_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+        for seed in range(3000):
+            text = _edge_list_text(random.Random(seed))
+            want = _outcome(oracles.ref_parse_edgelist, text)
+            assert _outcome(parse_edgelist, text) == want, (chunk, seed, text)
+
+    # one line of a long canonical text replaced, late in the text, by a
+    # fault or by a line in another form
+    LATE_LINES = ["5 5", "7 2", "0 999", "0 x", "0 1 2", "3", "-1 4", "# note", "",
+                  "  3 9", "3\t9", "3 9\r", "٣ 9"]
+
+    @pytest.mark.parametrize("late", LATE_LINES)
+    def test_one_late_line_in_small_chunks(self, monkeypatch, late):
+        monkeypatch.setattr(formats, "_CHUNK", 64)
+        g = gen_connected_graph(60, 0.3, 4)
+        lines = write_edgelist(g).splitlines()
+        for k in (len(lines) // 2, len(lines) - 3, len(lines) - 1):
+            for extra in (False, True):  # in place of a line, or added
+                edited = lines[:k] + [late] + lines[k + (not extra):]
+                text = "\n".join(edited) + "\n"
+                want = _outcome(oracles.ref_parse_edgelist, text)
+                assert _outcome(parse_edgelist, text) == want, (late, k, extra)
+        # a comment, a blank line or a line end of another kind changes no edge
+        text = write_edgelist(g)
+        cut = text.rindex("\n", 0, len(text) - 40) + 1
+        for insert in ("# note\n", "\n", "\t\n"):
+            assert parse_edgelist(text[:cut] + insert + text[cut:]) == g
+        assert parse_edgelist(text[:cut - 1] + "\r\n" + text[cut:]) == g
+        assert parse_edgelist(text.replace("\n", "\r\n")) == g
+
+    def test_data_lines_at_every_chunk_size(self, monkeypatch):
+        # every line break str.splitlines knows, \r\n among them, and
+        # mixtures such as \r\r\n and \n\r, around blank and comment lines
+        breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                  "\u2028", "\u2029", "\r\r\n", "\n\r"]
+        pieces = ["0 1", "12 345", "# c", "", "  ", "\t7\t8 ", "x", "9"]
+        texts = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            texts.append("".join(rng.choice(pieces) + rng.choice(breaks)
+                                 for _ in range(rng.randrange(1, 12)))
+                         + rng.choice(["", "5 6"]))
+        texts += ["".join(breaks), "\r\n" * 5, "a\r\nb\rc\n\rd"]
+        for chunk in range(1, 41):
+            monkeypatch.setattr(formats, "_CHUNK", chunk)
+            for text in texts:
+                assert list(formats._data_lines(text)) == oracles._ref_data_lines(text), \
+                    (chunk, text)
+
 
 def _interval_text(rng):
     """A seeded interval text: random endpoints written as integers,
