@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import formats
 from .approx import approx_semitotal
 from .domination import DominationKind, exact_min, verify, verify_intervals
 from .errors import InfeasibleError, SizeCapError
-from .formats import (edgelist_header, parse_edgelist, parse_intervals,
-                      parse_partition, parse_vertex_set, write_edgelist,
-                      write_intervals, write_partition)
+from .formats import (edgelist_header, edgelist_rows, parse_edgelist, parse_intervals,
+                      parse_partition, parse_vertex_set, write_intervals,
+                      write_partition)
 from .graph import Graph, SplitPartition, connected_components
 from .intervals import IntervalModel, intersection_edge_count, intersection_graph
 from .interval_solver import solve_interval
@@ -158,8 +158,65 @@ def _component_sizes(inst: Graph | IntervalModel) -> list[int]:
     return sizes
 
 
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    return ("NaN" if x != x else "Infinity" if x == _INF else
+            "-Infinity" if x == -_INF else float.__repr__(x))
+
+
+# the text of a value of exactly one of these types, as json writes it
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, with one join per
+    container: json runs its pure-Python encoder whenever indent is set.
+    A value of another type takes json's checks in json's order. A
+    container that holds itself exceeds the recursion limit where json
+    raises ValueError; neither writes a document."""
+    if scalar := _SCALARS.get(type(value)):
+        return scalar(value)
+    for base in (str, int, float):  # subclasses, written as their base
+        if isinstance(value, base):
+            return _SCALARS[base](value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        ends, kinds = "[]", set(map(type, value))
+        # a list of one scalar type, such as an answer's members, in one map
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else [_json(v, inner) for v in value]
+    elif isinstance(value, dict):
+        ends = "{}"
+        items = [(encode_basestring_ascii(k) if type(k) is str else _json_key(k))
+                 + ": " + _json(v, inner) for k, v in value.items()]
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not value:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str, or a number, bool or None in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{_json(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_json(doc) + "\n")
+
+
+def _save_edgelist(path, g: Graph) -> None:
+    """write_edgelist(g) to the file at path, one adjacency row at a time,
+    so neither the whole text nor its encoded bytes are ever held."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(edgelist_rows(g))
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
@@ -225,10 +282,10 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     g, partition = _load_gadget_source(args)
     go = build_gadget(g, GadgetKind[args.kind.upper()], partition)
     out = Path(args.output)
-    out.write_text(write_edgelist(go.h), encoding="utf-8")
+    _save_edgelist(out, go.h)
     roles_path = Path(str(out) + ".roles.json")
     roles = {str(v): list(role) for v, role in sorted(go.roles.items())}
-    roles_path.write_text(json.dumps(roles, indent=2) + "\n", encoding="utf-8")
+    roles_path.write_text(_json(roles) + "\n", encoding="utf-8")
     doc = {
         "algorithm": "reduce",
         "kind": args.kind,
@@ -377,7 +434,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
         doc_n, doc_m = source.n, intersection_edge_count(source)
     else:
         g, part = source
-        out.write_text(write_edgelist(g), encoding="utf-8")
+        _save_edgelist(out, g)
         doc_n, doc_m = g.n, g.m
         if part is not None:
             part_path = Path(str(out) + ".partition")

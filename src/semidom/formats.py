@@ -37,16 +37,26 @@ _CHUNK = 1 << 16
 # A chunk of lines in the form write_edgelist writes: `u v\n`, ASCII digits
 _CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
+# A line end a chunk may be cut after: a \n, or a \r not followed by a \n
+_LINE_END = re.compile(r"\n|\r(?!\n)")
 
-def _chunks(text: str) -> Iterator[str]:
+# About how many characters the first chunk of a header read holds
+_HEADER_CHUNK = 64
+
+
+def _chunks(text: str, size: int = 0) -> Iterator[str]:
     r"""The text in pieces of about _CHUNK characters, each but the last cut
-    just after a `\n`. A cut there cannot split a `\r\n`, so the lines of
-    the pieces, in order, are the lines of the text."""
+    just after a `\n` or a lone `\r`. A cut there cannot split a `\r\n`, so
+    the lines of the pieces, in order, are the lines of the text. Given a
+    size, the first piece is about that long, and each next one twice the
+    one before, up to _CHUNK."""
     start, end = 0, len(text)
+    size = size or _CHUNK
     while start < end:
-        cut = text.find("\n", start + _CHUNK - 1) + 1 or end
+        found = _LINE_END.search(text, start + size - 1)
+        cut = found.end() if found else end
         yield text[start:cut]
-        start = cut
+        start, size = cut, min(2 * size, _CHUNK)
 
 
 def _chunk_lines(chunk: str) -> Iterator[list[str]]:
@@ -56,11 +66,11 @@ def _chunk_lines(chunk: str) -> Iterator[list[str]]:
             yield line.split()
 
 
-def _data_lines(text: str) -> Iterator[list[str]]:
+def _data_lines(text: str, size: int = 0) -> Iterator[list[str]]:
     """The tokens of each line that is neither blank nor a comment, in
-    order, read one chunk at a time, so the list of all lines is never
-    held."""
-    return chain.from_iterable(map(_chunk_lines, _chunks(text)))
+    order, read one chunk at a time (see _chunks), so the list of all lines
+    is never held."""
+    return chain.from_iterable(map(_chunk_lines, _chunks(text, size)))
 
 
 def _edgelist_header(lines: Iterator[list[str]]) -> tuple[int, int]:
@@ -78,8 +88,10 @@ def _edgelist_header(lines: Iterator[list[str]]) -> tuple[int, int]:
 
 def edgelist_header(text: str) -> tuple[int, int]:
     """The `n m` header of an edge list, checked as parse_edgelist checks
-    it, without parsing any edge line."""
-    return _edgelist_header(_data_lines(text))
+    it, without parsing any edge line: the lines are split from chunks that
+    start short and double, so only a prefix a little longer than the lines
+    up to the header is split."""
+    return _edgelist_header(_data_lines(text, _HEADER_CHUNK))
 
 
 def _data_body(lines: Iterator[list[str]], expected: int, what: str, read) -> Iterator:
@@ -199,17 +211,20 @@ def _parse_by_lines(text: str) -> Graph:
     return Graph(n, _rows=rows)
 
 
+def edgelist_rows(g: Graph) -> Iterator[str]:
+    """The text of write_edgelist(g) in pieces: the header `n m`, then one
+    string per adjacency row, of its edges to larger neighbours."""
+    yield f"{g.n} {g.m}\n"
+    for u, row in enumerate(g._adj):
+        yield "".join([f"{u} {v}\n" for v in row[bisect_right(row, u):]])
+
+
 def write_edgelist(g: Graph) -> str:
     """The header `n m`, then each edge as `u v`, u < v, in sorted order.
     The text is joined from one string per adjacency row: a string or a
     tuple per edge would take several times the size of the text on a
     dense graph."""
-    rows = [f"{g.n} {g.m}\n"]
-    rows += ["".join([f"{u} {v}\n" for v in row[bisect_right(row, u):]])
-             for u, row in enumerate(g._adj)]
-    return "".join(rows)
-
-
+    return "".join(edgelist_rows(g))
 
 
 def _parse_number(token: str) -> int | Fraction:

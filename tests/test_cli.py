@@ -1,3 +1,5 @@
+import collections
+import enum
 import hashlib
 import importlib.util
 import json
@@ -5,14 +7,17 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semidom
 from semidom import cli, intervals
 from semidom.formats import write_edgelist, write_partition
-from semidom.generators import gen_connected_graph, gen_interval_model, gen_named
+from semidom.generators import (gen_connected_graph, gen_interval_model, gen_named,
+                                gen_split_graph)
 from semidom.graph import Graph, SplitPartition
 from semidom.intervals import intersection_graph
 
@@ -1014,3 +1019,111 @@ class TestInProcess:
         assert code == 0 and (doc["n"], doc["m"]) == (100000, 3341991392)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "e1ea7753204cf5e8425534c8f491e95b1a76ef84e444a637ce2663caf85ce90e")
+
+
+# strings with quotes, escapes, control and non-ASCII characters among any
+# others; ints of every sign and size, and every float, NaN and both
+# infinities among them
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x85é€😀'))
+_JSON_LEAVES = (_JSON_TEXT | st.integers() | st.integers(max_value=-1)
+                | st.integers(min_value=2**64, max_value=2**200) | st.floats()
+                | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+                | st.booleans() | st.none())
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=6)),
+    max_leaves=40)
+
+
+class _Id(enum.IntEnum):
+    ONE = 1
+
+
+class _Real(float):
+    pass
+
+
+class TestOutputWriters:
+    """The CLI's JSON writer and its edge-list files give the bytes of
+    `json.dumps(doc, indent=2)` and `write_edgelist`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_DOCS)
+    @example({"": [], "a": {}, "b": (), "c": [[{}], -0.0, float("nan"), float("inf"),
+                                            float("-inf"), 2**64 + 1, -7, True, False, None,
+                                            '"\\\x01\x1f é😀']})
+    def test_writer_is_json_dumps_indent_2(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        # subclasses of int, float, str, tuple, list and dict
+        [_Id.ONE, _Real(2.5), _Real("nan"), type("S", (str,), {})("s\n"),
+         collections.namedtuple("P", "u v")(1, 2), type("L", (list,), {})([3]),
+         collections.OrderedDict(z=1, a=2)],
+        # keys that are not str, json writes as their text
+        {1: "a", -2.5: "b", True: "c", False: "d", None: "e", _Id.ONE: "f",
+         _Real("inf"): "g", 2**70: "h"},
+    ])
+    def test_writer_takes_jsons_checks_for_other_types(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {"set": [1, {2, 3}]}, {"extra": {(0, 1): 2}}, [b"bytes"], object(),
+    ])
+    def test_writer_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json(doc)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kind", cli.GADGET_KINDS)
+    def test_reduce_writes_write_edgelists_bytes(self, tmp_path, capsys, kind):
+        from semidom.reductions import GadgetKind, build_gadget
+        if kind == "split":
+            g, part = gen_split_graph(6, 5, 0.5, 3)
+            (tmp_path / "p.txt").write_text(write_partition(part))
+            flags = ["--partition", str(tmp_path / "p.txt")]
+        else:
+            g, part, flags = gen_connected_graph(9, 0.4, 2), None, []
+        (tmp_path / "g.txt").write_text(write_edgelist(g))
+        out = tmp_path / "h.txt"
+        assert cli.main(["reduce", "--kind", kind, "--input", str(tmp_path / "g.txt"),
+                         "--output", str(out), *flags]) == 0
+        capsys.readouterr()
+        go = build_gadget(g, GadgetKind[kind.upper()], part)
+        assert out.read_bytes() == write_edgelist(go.h).encode()
+        roles = {str(v): list(role) for v, role in sorted(go.roles.items())}
+        assert (tmp_path / "h.txt.roles.json").read_bytes() == (
+            json.dumps(roles, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("family", cli.NAMED_FAMILIES + ("random", "split"))
+    def test_gen_writes_write_edgelists_bytes(self, tmp_path, capsys, family):
+        out = tmp_path / "g.txt"
+        assert cli.main(["gen", "--family", family, "--size", "7", "--clique", "4",
+                         "--ind", "5", "--seed", "3", "--output", str(out)]) == 0
+        capsys.readouterr()
+        if family == "split":
+            g, part = gen_split_graph(4, 5, 0.5, 3)
+            assert Path(str(out) + ".partition").read_bytes() == write_partition(part).encode()
+        elif family == "random":
+            g = gen_connected_graph(7, 0.3, 3)
+        else:
+            g = gen_named(family, 7, 3)
+        assert out.read_bytes() == write_edgelist(g).encode()
+
+    def test_edge_list_is_written_row_by_row(self, tmp_path):
+        # K_633: a 1.5 MB text, of which the write holds one row at a time
+        # (58 KB at its peak, CPython 3.11)
+        g = gen_named("complete", 633)
+        text = write_edgelist(g)
+        out = tmp_path / "k.txt"
+        tracemalloc.start()
+        try:
+            cli._save_edgelist(out, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == text.encode()
+        assert peak < len(text) // 10, (peak, len(text))

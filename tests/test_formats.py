@@ -10,7 +10,7 @@ from semidom import formats
 from semidom.formats import (edgelist_header, parse_edgelist, parse_intervals,
                              parse_partition, parse_vertex_set, write_edgelist,
                              write_intervals, write_partition)
-from semidom.generators import gen_connected_graph, gen_named
+from semidom.generators import gen_connected_graph, gen_named, gen_split_graph
 from semidom.graph import Graph, SplitPartition
 from semidom.intervals import IntervalModel, intersection_graph
 
@@ -245,6 +245,51 @@ class TestEdgelistAgainstReference:
             tracemalloc.stop()
         assert peak < 40 * 200_028, peak / 200_028
         assert header_peak < 1_000_000, header_peak
+
+    @staticmethod
+    def _parse_peak_per_edge(text: str, m: int) -> float:
+        tracemalloc.start()
+        try:
+            g = parse_edgelist(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == m
+        return peak / m
+
+    def test_lone_cr_line_ends_parse_in_chunks(self):
+        # a chunk is also cut after a \r that ends a line on its own, so a
+        # file with no \n is not read as one chunk
+        text = write_edgelist(gen_named("complete", 633)).replace("\n", "\r")
+        assert "\n" not in text and len(list(formats._chunks(text))) > 20
+        assert self._parse_peak_per_edge(text, 200_028) < 40
+
+    def test_lone_cr_split_graph_parse_memory(self):
+        # the 1,573,871-edge split graph that CI solves under ulimit -v, with
+        # \r line ends
+        g, _ = gen_split_graph(1500, 1000, 0.3, 0)
+        text = write_edgelist(g).replace("\n", "\r")
+        del g
+        assert self._parse_peak_per_edge(text, 1_573_871) < 40
+
+    def test_header_splits_only_a_short_prefix(self, monkeypatch):
+        text = write_edgelist(gen_named("complete", 633))
+        handed = []
+
+        def recording(chunk):
+            handed.append(chunk)
+            return chunk_lines(chunk)
+
+        chunk_lines = formats._chunk_lines
+        monkeypatch.setattr(formats, "_chunk_lines", recording)
+        assert edgelist_header(text) == (633, 200_028)
+        assert sum(map(len, handed)) < 100, handed
+        # comment lines before the header are read in chunks that double
+        handed.clear()
+        comments = "# a comment line of forty characters ..\n" * 1000
+        assert edgelist_header(comments + text) == (633, 200_028)
+        assert sum(map(len, handed)) < 2 * len(comments) + 100
+        assert len(handed) < 12
 
 
 class TestChunkedReader:
